@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Repo health gate: domain lint, the runner test modules, a 2-worker
 # smoke sweep and a 2-worker chaos smoke (exercise the process pool and
-# the fault-injection layer end to end), then the full tier-1 test
-# suite. Run from the repo root.
+# the fault-injection layer end to end), the perfbench tests, then the
+# full tier-1 test suite. Run from the repo root.
 #
-#   scripts/check.sh              lint + runner tests + smoke sweep + suite
+#   scripts/check.sh              lint + runner tests + smoke sweep +
+#                                 perfbench tests + suite
 #   scripts/check.sh --lint-only  just the full REP001-REP012 rule set
 #                                 (fast, well under 10 s)
 #   scripts/check.sh --ci         the same gate, non-interactive: junit
@@ -57,6 +58,12 @@ if [ "$MODE" = "--ci" ]; then
     python -m repro bench --smoke --out BENCH_smoke.json
     python scripts/bench_compare.py BENCH_baseline.json BENCH_smoke.json
 fi
+
+echo "== perfbench tests =="
+# The tracer patches simulator methods by name; these tests catch a
+# rename that would otherwise break the benchmark silently.
+# shellcheck disable=SC2086
+python -m pytest $PYTEST_ARGS perfbench/tests
 
 echo "== tier-1 pytest =="
 # shellcheck disable=SC2086

@@ -1,7 +1,6 @@
 """Anti-DOPE — the paper's contribution: suspect list, PDF, DPM, RPM."""
 
 from .anti_dope import AntiDopeScheme
-from .online_profiler import OnlineUrlPowerProfiler
 from .oracle import GroundTruthFilter, OracleScheme
 from .dpm import DPMPlanner, ThrottlePlan
 from .pdf import PDFPolicy, split_pools
@@ -19,7 +18,6 @@ __all__ = [
     "RPMDecision",
     "RPMStats",
     "AntiDopeScheme",
-    "OnlineUrlPowerProfiler",
     "OracleScheme",
     "GroundTruthFilter",
 ]

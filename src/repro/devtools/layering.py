@@ -7,7 +7,7 @@ they contain both a bottom and a top layer:
 
 * ``sim`` — the kernel modules (``clock``/``engine``/``events``) are a
   dependency of everything, while the orchestration modules
-  (``config``/``simulation``/``facility``) depend on everything; and
+  (``config``/``simulation``) depend on everything; and
 * ``workloads`` — ``catalog`` is pure request-profile data imported by
   the network and cluster substrates, while the generator modules sit
   above the network layer they drive.
@@ -83,7 +83,6 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
         {
             "validation",
             "obs",
-            "sim.kernel",
             "workloads.catalog",
             "network",
             "cluster",

@@ -1,6 +1,5 @@
 """Network substrate: requests, sources, firewall, load balancer."""
 
-from .anomaly import AggregateAnomalyDetector, AnomalyAlarm
 from .fabric import FlowletEcmpFabric, ecmp_path, splitmix64
 from .firewall import NullFirewall, RateLimitFirewall
 from .load_balancer import (
@@ -37,6 +36,4 @@ __all__ = [
     "FlowletEcmpFabric",
     "ecmp_path",
     "splitmix64",
-    "AggregateAnomalyDetector",
-    "AnomalyAlarm",
 ]

@@ -3,7 +3,6 @@
 from .battery import Battery
 from .budget import BudgetLevel, PowerBudget
 from .capping import CappingScheme, LocalCappingScheme
-from .hierarchy import FacilityBudgetAllocator, RackAllocation
 from .manager import NullScheme, PowerManagementScheme
 from .meter import PowerMeter, PowerSample
 from .prediction import (
@@ -30,6 +29,4 @@ __all__ = [
     "PowerHistoryPredictor",
     "PredictedHeadroomFilter",
     "PredictionScheme",
-    "FacilityBudgetAllocator",
-    "RackAllocation",
 ]

@@ -19,7 +19,6 @@ from .events import (
 _LAZY = {
     "SimulationConfig": ("config", "SimulationConfig"),
     "DataCenterSimulation": ("simulation", "DataCenterSimulation"),
-    "FacilitySimulation": ("facility", "FacilitySimulation"),
 }
 
 
@@ -46,5 +45,4 @@ __all__ = [
     "PRIORITY_MONITOR",
     "PRIORITY_CONTROL",
     "DataCenterSimulation",
-    "FacilitySimulation",
 ]

@@ -9,7 +9,6 @@ DDoS-deflate-style firewall at 150 req/s and 1-second control slots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -178,8 +177,11 @@ class SimulationConfig:
             # Same delete-at-default contract: pre-detector configs and
             # cached experiment ids keep their identity.
             del out["detect_placement"]
-        if math.isclose(self.prediction_horizon_s, 60.0):
-            # Same delete-at-default contract for the predictor horizon.
+        # Same delete-at-default contract for the predictor horizon.
+        # Exact match only: a horizon merely close to 60 s is a different
+        # config and must keep its key, or it would share the default's
+        # hash and round-trip back to 60.0.
+        if self.prediction_horizon_s == 60.0:  # repro: ignore[REP002] — identity, not a measurement
             del out["prediction_horizon_s"]
         return out
 

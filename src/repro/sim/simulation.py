@@ -69,8 +69,8 @@ class DataCenterSimulation:
         The Table 2 power-management scheme under test; ``None`` runs
         unmanaged (the vulnerability-characterisation arm).
     engine:
-        Pre-built engine to share across facades; overrides
-        *engine_mode*.
+        Pre-built engine, e.g. one carrying a caller-owned
+        :class:`~repro.obs.Recorder`; overrides *engine_mode*.
     engine_mode:
         Execution strategy for a privately-built engine (``"scalar"``
         or ``"batched"``).  Deliberately not part of
@@ -92,8 +92,6 @@ class DataCenterSimulation:
         fluid: bool = False,
     ) -> None:
         self.config = config
-        # A shared engine lets several data-center instances co-exist in
-        # one simulated world (multi-rack facility scenarios).
         self.engine = (
             engine
             if engine is not None
@@ -317,9 +315,8 @@ class DataCenterSimulation:
     def ensure_started(self) -> None:
         """Arm the meter and the control loop (idempotent).
 
-        Called automatically by :meth:`run`; facility-level drivers that
-        share one engine across several instances call it explicitly and
-        then run the engine themselves.
+        Called automatically by :meth:`run`; call it directly to inspect
+        the armed scheme before any simulated time passes.
         """
         if not self._started:
             self.meter.start()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import BudgetLevel, SimulationConfig
+from repro.obs import config_hash
 
 
 class TestDefaults:
@@ -60,3 +61,13 @@ class TestValidation:
     def test_invalid_seed(self):
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
+
+
+class TestSerialisation:
+    def test_near_default_horizon_round_trips_with_its_own_hash(self):
+        near = SimulationConfig(prediction_horizon_s=60.00000003)
+        assert near != SimulationConfig()
+        data = near.to_dict()
+        assert data["prediction_horizon_s"] == near.prediction_horizon_s
+        assert SimulationConfig.from_dict(data) == near
+        assert config_hash(data) != config_hash(SimulationConfig().to_dict())

@@ -76,4 +76,3 @@ class TestExamplesRun:
         module.main()
         out = capsys.readouterr().out
         assert "auto-scaled" in out
-        assert "water-filling" in out.lower()

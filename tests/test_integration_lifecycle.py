@@ -1,10 +1,11 @@
-"""End-to-end lifecycle: profile online → deploy Anti-DOPE → survive DOPE.
+"""End-to-end lifecycle: measure → deploy Anti-DOPE → survive DOPE.
 
-The full operator story in one test module: a deployment that has never
-seen the paper's offline profile learns its suspect list from live
-telemetry during peacetime, deploys Anti-DOPE with the learned list,
-and then withstands the same attack the offline-profiled deployment
-withstands.
+The full operator story in one test module: a deployment without the
+analytic power model measures its suspect list from rack telemetry —
+one canary flood per endpoint on an unmanaged rack, the metered power
+fed to :meth:`SuspectList.from_measurements` — deploys Anti-DOPE with
+the measured list, and then withstands the same attack the
+model-profiled deployment withstands.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro import (
     NullScheme,
     SimulationConfig,
 )
-from repro.core import OnlineUrlPowerProfiler
+from repro.core import SuspectList
 from repro.workloads import (
     ALL_TYPES,
     COLLA_FILT,
@@ -29,22 +30,42 @@ from repro.workloads import (
 ATTACK = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
 
 
-@pytest.fixture(scope="module")
-def learned_suspect_list():
-    """Peacetime telemetry profiling on an unmanaged deployment."""
+def _metered_server_power_w(rtype):
+    """Per-server meter samples while a canary flood of *rtype* runs.
+
+    1500 rps open-loop saturates every worker on the heavy endpoints, so
+    their samples read full-load power; the light ones stay below the
+    suspect threshold at any load.
+    """
     sim = DataCenterSimulation(
         SimulationConfig(seed=21, use_firewall=False), scheme=NullScheme()
     )
-    profiler = OnlineUrlPowerProfiler(
-        sim.engine, sim.rack, interval_s=0.5, min_samples=25
+    sim.add_flood(
+        mix=rtype,
+        rate_rps=1500.0,
+        num_agents=5,
+        closed_loop=False,
+        label=f"canary-{rtype.name}",
     )
-    profiler.start()
-    sim.add_normal_traffic(rate_rps=60)
-    for t in ALL_TYPES:
-        rate = 40.0 if t.base_service_s > 0.01 else 1500.0
-        sim.add_flood(mix=t, rate_rps=rate, num_agents=5, label=f"canary-{t.name}")
-    sim.run(100.0)
-    return profiler.to_suspect_list(threshold_fraction=0.70)
+    sim.run(10.0)
+    powers = sim.meter.powers()
+    # Skip the first half: queues are still filling.
+    return powers[len(powers) // 2 :] / sim.config.num_servers
+
+
+@pytest.fixture(scope="module")
+def learned_suspect_list():
+    """Telemetry-measured profile of every endpoint."""
+    samples = [
+        (t.url, float(watts))
+        for t in ALL_TYPES
+        for watts in _metered_server_power_w(t)
+    ]
+    return SuspectList.from_measurements(
+        samples,
+        nameplate_w=SimulationConfig().nameplate_w,
+        threshold_fraction=0.70,
+    )
 
 
 def run_defended(suspect_list):

@@ -334,7 +334,7 @@ class TestServerWorkConservation:
 
 
 # ----------------------------------------------------------------------
-# Facility allocator composed with budgets
+# Availability partition and windowed timelines
 # ----------------------------------------------------------------------
 
 
