@@ -238,23 +238,23 @@ def region_delta_summary(
 def collector_summary(collector: MetricsCollector) -> dict:
     """One-shot JSON-ready summary of an entire collector.
 
+    Computed from the collector's columns; no record rows are built.
     The result is strictly JSON-representable: latency fields of a
     class with zero completions come out as ``None``, never ``NaN``.
     """
-    from ..network.request import RequestOutcome
     from ..workloads.catalog import TrafficClass
 
     summary: dict = {"total": collector.total(), "by_class": {}}
     for cls in TrafficClass:
-        records = collector.filtered(traffic_class=cls)
-        if not records:
+        counts = collector.outcome_counts(traffic_class=cls)
+        count = sum(counts.values())
+        if not count:
             continue
-        outcomes = {o.value: 0 for o in RequestOutcome}
-        for r in records:
-            outcomes[r.outcome.value] += r.weight
         summary["by_class"][cls.value] = {
-            "count": sum(r.weight for r in records),
-            "outcomes": {k: v for k, v in outcomes.items() if v},
-            "latency": LatencyStats.from_records(records).as_millis(),
+            "count": count,
+            "outcomes": {o.value: n for o, n in counts.items() if n},
+            "latency": LatencyStats.from_times(
+                collector.response_times(traffic_class=cls)
+            ).as_millis(),
         }
     return jsonable(summary)

@@ -63,14 +63,20 @@ def ecmp_path(salt: int, flow_id: int, flowlet_id: int, num_paths: int) -> int:
 
 
 class _FlowState:
-    """Per-flow fabric memory: last burst time, flowlet count, path."""
+    """Per-flow fabric memory: last burst time, flowlet count, path.
 
-    __slots__ = ("last_seen_s", "flowlet_id", "path")
+    ``flow_hash`` caches the salted flow hash that :func:`ecmp_path`
+    would recompute at every flowlet boundary, so a re-hash costs one
+    :func:`splitmix64` round instead of three.
+    """
 
-    def __init__(self, last_seen_s: float, path: int) -> None:
+    __slots__ = ("last_seen_s", "flowlet_id", "path", "flow_hash")
+
+    def __init__(self, last_seen_s: float, path: int, flow_hash: int) -> None:
         self.last_seen_s = last_seen_s
         self.flowlet_id = 0
         self.path = path
+        self.flow_hash = flow_hash
 
 
 class FlowletEcmpFabric:
@@ -116,15 +122,15 @@ class FlowletEcmpFabric:
         self._counters = obs.counters if obs is not None else None
         self._flows: Dict[int, _FlowState] = {}
         self._rack_rr: List[int] = [0] * num_racks
+        self._salt_hash = splitmix64(salt & _MASK64)
+        self._forwarded_names = [
+            f"fabric.forwarded.rack{rack_idx}" for rack_idx in range(num_racks)
+        ]
 
     @property
     def num_paths(self) -> int:
         """Size of the ECMP path space."""
         return self.num_spines * self.num_racks
-
-    def _inc(self, name: str) -> None:
-        if self._counters is not None:
-            self._counters.inc(name)
 
     def path_of(self, flow_id: int) -> Optional[int]:
         """The path flow *flow_id* is currently hashed to (None = unseen)."""
@@ -152,34 +158,42 @@ class FlowletEcmpFabric:
         """
         flow_id = request.source_id
         now_s = request.arrival_time_s
+        counters = self._counters
+        num_racks = self.num_racks
         state = self._flows.get(flow_id)
         if state is None:
+            # The ecmp_path hash, with its salted flow stage kept.
+            flow_hash = splitmix64(self._salt_hash ^ (flow_id & _MASK64))
             state = _FlowState(
-                now_s, ecmp_path(self.salt, flow_id, 0, self.num_paths)
+                now_s, splitmix64(flow_hash) % self.num_paths, flow_hash
             )
             self._flows[flow_id] = state
-            self._inc("fabric.flows")
-            self._inc("fabric.flowlets")
+            if counters is not None:
+                counters.inc("fabric.flows")
+                counters.inc("fabric.flowlets")
         else:
             gap_s = self.flowlet_gap_s
             if gap_s is not None and now_s - state.last_seen_s > gap_s:
                 state.flowlet_id += 1
-                self._inc("fabric.flowlets")
-                new_path = ecmp_path(
-                    self.salt, flow_id, state.flowlet_id, self.num_paths
+                new_path = (
+                    splitmix64(state.flow_hash ^ (state.flowlet_id & _MASK64))
+                    % self.num_paths
                 )
-                if new_path != state.path:
-                    self._inc("fabric.path_switches")
-                    state.path = new_path
+                if counters is not None:
+                    counters.inc("fabric.flowlets")
+                    if new_path != state.path:
+                        counters.inc("fabric.path_switches")
+                state.path = new_path
             state.last_seen_s = now_s
-        rack_idx = state.path % self.num_racks
+        rack_idx = state.path % num_racks
         candidates = self._rack_members(rack_idx, servers)
         if not candidates:
-            for offset in range(1, self.num_racks):
-                probe_idx = (rack_idx + offset) % self.num_racks
+            for offset in range(1, num_racks):
+                probe_idx = (rack_idx + offset) % num_racks
                 candidates = self._rack_members(probe_idx, servers)
                 if candidates:
-                    self._inc("fabric.failovers")
+                    if counters is not None:
+                        counters.inc("fabric.failovers")
                     rack_idx = probe_idx
                     break
         if not candidates:
@@ -189,14 +203,12 @@ class FlowletEcmpFabric:
             candidates = list(servers)
         slot = self._rack_rr[rack_idx] % len(candidates)
         self._rack_rr[rack_idx] = slot + 1
-        self._inc(f"fabric.forwarded.rack{rack_idx}")
+        if counters is not None:
+            counters.inc(self._forwarded_names[rack_idx])
         return candidates[slot]
 
     def _rack_members(
         self, rack_idx: int, servers: Sequence["Server"]
     ) -> List["Server"]:
-        return [
-            s
-            for s in servers
-            if s.server_id // self.servers_per_rack == rack_idx
-        ]
+        per_rack = self.servers_per_rack
+        return [s for s in servers if s.server_id // per_rack == rack_idx]

@@ -2,10 +2,10 @@
 
 A :class:`Request` is a single HTTP query travelling through the
 simulated stack: ingress (firewall) → load balancer → server queue →
-worker → completion.  The terminal outcome of every request is captured
-in a :class:`CompletionRecord`, which is what the metrics layer consumes
-— records are flat, slot-typed and cheap, because a trace-driven run
-produces millions of them.
+worker → completion.  The metrics layer stores every terminal outcome
+as one row of typed columns, not as an object, because a trace-driven
+run produces millions of them; a :class:`CompletionRecord` is the row
+type it hands back when a caller asks for rows.
 """
 
 from __future__ import annotations
@@ -138,9 +138,11 @@ class Request:
 
 
 class CompletionRecord:
-    """Flat terminal record of one request, consumed by the metrics layer.
+    """Flat terminal record of one request: one row of the metrics ledger.
 
-    A record normally stands for exactly one request (``weight == 1``).
+    The collector keeps its rows as columns and builds these objects
+    only on request (export, timelines, availability, tests).  A record
+    normally stands for exactly one request (``weight == 1``).
     The fluid execution mode additionally emits *aggregate* records
     (:meth:`aggregate`) standing for a whole analytically integrated
     cohort — same shape, ``weight == n``, no materialised request id.
@@ -193,15 +195,32 @@ class CompletionRecord:
         """
         if count < 1:
             raise ValueError(f"aggregate count must be >= 1, got {count}")
+        return cls.from_fields(
+            -1, type_name, traffic_class, outcome, time_s, time_s, None, int(count)
+        )
+
+    @classmethod
+    def from_fields(
+        cls,
+        request_id: int,
+        type_name: str,
+        traffic_class: TrafficClass,
+        outcome: RequestOutcome,
+        arrival_time_s: float,
+        finish_time_s: float,
+        server_id: Optional[int],
+        weight: int,
+    ) -> "CompletionRecord":
+        """Record with every field given, as the metrics columns store it."""
         record = cls.__new__(cls)
-        record.request_id = -1
+        record.request_id = request_id
         record.type_name = type_name
         record.traffic_class = traffic_class
         record.outcome = outcome
-        record.arrival_time_s = time_s
-        record.finish_time_s = time_s
-        record.server_id = None
-        record.weight = int(count)
+        record.arrival_time_s = arrival_time_s
+        record.finish_time_s = finish_time_s
+        record.server_id = server_id
+        record.weight = weight
         return record
 
     @property

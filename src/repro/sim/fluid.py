@@ -18,10 +18,13 @@ without touching a queue, a server or the power model.
   ``None`` when it does not;
 * :meth:`BannedPoolDrain.absorb` applies the aggregate effect of ``n``
   absorbed arrivals — firewall rejection stats, NLB drop tallies and
-  per-outcome counters, and one weighted
-  :class:`~repro.network.request.CompletionRecord` per request type —
-  exactly what ``n`` per-request traversals of the reject path would
-  have recorded.
+  per-outcome counters, and one weighted metrics row per request type
+  (:meth:`~repro.metrics.collector.MetricsCollector.sink_bulk`).  The
+  counts are exactly what ``n`` per-request traversals of the reject
+  path would have recorded; the times are not.  Each row carries the
+  segment's end as its arrival and finish time, so an arrival-time
+  window that cuts a segment counts the segment's whole cohort on the
+  side of its end.
 
 Per-request ids are **never materialised** for absorbed arrivals (the
 lazy-id contract: ids exist only where outcomes diverge, and inside an
@@ -64,7 +67,7 @@ class BannedPoolDrain:
         Ingress balancer whose drop tallies the absorbed cohort must
         appear in.
     collector:
-        Metrics sink receiving one aggregate record per request type.
+        Metrics sink receiving one aggregate row per request type.
     """
 
     __slots__ = (

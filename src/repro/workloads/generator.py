@@ -251,17 +251,24 @@ class TrafficGenerator:
             return False
         engine = self.engine
         now = engine.clock._now
+        # The deadline and the next queued event bound the segment
+        # whatever the drain's horizon is, so test them first: the
+        # horizon is an O(pool) ban scan, wasted when they leave too
+        # little room anyway.
+        t_end = engine._until
+        next_time_s = engine._queue.peek_time()
+        if next_time_s is not None and (t_end is None or next_time_s < t_end):
+            t_end = next_time_s
+        if t_end is not None and not (
+            (t_end - now) * rate >= _FLUID_MIN_EXPECTED_EVENTS
+        ):  # NaN-safe
+            return False
         drain = self.fluid_drain
         horizon = drain.horizon(now)
         if horizon is None:
             return False
-        t_end = horizon
-        until = engine._until
-        if until is not None and until < t_end:
-            t_end = until
-        next_time_s = engine._queue.peek_time()
-        if next_time_s is not None and next_time_s < t_end:
-            t_end = next_time_s
+        if t_end is None or horizon < t_end:
+            t_end = horizon
         dt = t_end - now
         if not (dt * rate >= _FLUID_MIN_EXPECTED_EVENTS):  # NaN-safe
             return False

@@ -124,6 +124,8 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     runs = _run_lines(workflow["jobs"]["equivalence"])
     assert "tests/test_batched_equivalence.py" in runs
     assert "tests/test_property_equivalence.py" in runs
+    # The columnar metrics ledger against its record-list reference.
+    assert "tests/test_collector_columns.py" in runs
     # Cross-engine identity must exercise the process pool too.
     assert "REPRO_BENCH_ENGINE=scalar" in runs
     assert "REPRO_BENCH_ENGINE=batched" in runs

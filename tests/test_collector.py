@@ -1,5 +1,8 @@
 """Unit tests for the metrics collector."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,65 @@ class TestCounting:
     def test_clear(self, populated):
         populated.clear()
         assert len(populated) == 0
+
+
+class TestWindowBounds:
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"start_s": float("nan")},
+            {"end_s": float("nan")},
+            {"start_s": float("-inf")},
+            {"end_s": float("inf")},
+            {"start_s": 6.0, "end_s": 5.0},
+        ],
+    )
+    def test_invalid_window_rejected_by_every_query(self, populated, bounds):
+        # A NaN bound used to fail every comparison and so pass every
+        # record: filtered(start_s=nan) returned all five.
+        with pytest.raises(ValueError):
+            populated.filtered(**bounds)
+        with pytest.raises(ValueError):
+            populated.response_times(**bounds)
+        with pytest.raises(ValueError):
+            populated.outcome_counts(**bounds)
+        with pytest.raises(ValueError):
+            populated.drop_attribution(**bounds)
+
+    def test_empty_and_unbounded_windows_still_allowed(self, populated):
+        assert populated.filtered(start_s=5.0, end_s=5.0) == []
+        assert len(populated.filtered(start_s=None, end_s=None)) == 5
+
+
+class TestColumnarStorage:
+    def test_sink_bulk_rejects_nonpositive_count(self, collector):
+        with pytest.raises(ValueError):
+            collector.sink_bulk(
+                0, "volume_dos", TrafficClass.ATTACK,
+                RequestOutcome.DROPPED_FIREWALL, 1.0,
+            )
+        assert len(collector) == 0
+
+    def test_retained_bytes_per_record(self, collector):
+        # The ledger keeps typed columns, not an object per request:
+        # with 8-byte ids past 2**31 and distinct float times, one
+        # CompletionRecord object per request retained about 189 B.
+        n = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                request = Request(
+                    TEXT_CONT, 0, TrafficClass.NORMAL, i * 1e-3,
+                    request_id=2**31 + i,
+                )
+                request.server_id = i % 16
+                collector.sink(request, RequestOutcome.COMPLETED, i * 1e-3 + 0.25)
+            del request
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(collector) == n
+        assert retained / n <= 64

@@ -1,6 +1,8 @@
 """Unit coverage of flowlet-aware ECMP forwarding (repro.network.fabric)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import FlowletEcmpFabric, ecmp_path, splitmix64
 from repro.obs import Recorder
@@ -58,6 +60,49 @@ def test_ecmp_path_decorrelates_across_salts():
 def test_ecmp_path_rejects_empty_path_space():
     with pytest.raises(ValueError):
         ecmp_path(0, 0, 0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    salt=st.integers(min_value=0, max_value=2**64 + 5),
+    num_racks=st.integers(min_value=1, max_value=5),
+    num_spines=st.integers(min_value=1, max_value=3),
+    gap_s=st.one_of(st.none(), st.sampled_from([0.01, 0.05, 1.0])),
+    arrivals=st.lists(
+        st.tuples(
+            st.integers(min_value=-(2**65), max_value=2**65),
+            st.floats(min_value=0.0, max_value=0.2, allow_nan=False),
+        ),
+        max_size=40,
+    ),
+)
+def test_cached_flow_hash_follows_ecmp_path(
+    salt, num_racks, num_spines, gap_s, arrivals
+):
+    # select() keeps each flow's salted hash instead of recomputing it;
+    # the path it lands on must still be ecmp_path's, flowlet by flowlet.
+    fabric = _fabric(
+        num_racks=num_racks,
+        servers_per_rack=2,
+        num_spines=num_spines,
+        flowlet_gap_s=gap_s,
+        salt=salt,
+    )
+    servers = _fleet(num_racks, 2)
+    now_s = 0.0
+    last_seen = {}
+    flowlet = {}
+    for flow, step_s in arrivals:
+        now_s += step_s
+        fabric.select(_FakeRequest(flow, now_s), servers)
+        if flow not in flowlet:
+            flowlet[flow] = 0
+        elif gap_s is not None and now_s - last_seen[flow] > gap_s:
+            flowlet[flow] += 1
+        last_seen[flow] = now_s
+        assert fabric.path_of(flow) == ecmp_path(
+            salt, flow, flowlet[flow], fabric.num_paths
+        )
 
 
 # ----------------------------------------------------------------------

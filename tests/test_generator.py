@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import SourceRegistry
+from repro.sim.engine import EventEngine
 from repro.trace import ConstantRateProcess, PoissonProcess
 from repro.workloads import (
     COLLA_FILT,
@@ -128,3 +129,75 @@ class TestLifecycle:
         engine.run(until=0.45)
         assert gen.generated == 4
         assert gen.accepted == 3
+
+
+class _SpyDrain:
+    """Fluid drain stand-in recording when its horizon is consulted."""
+
+    def __init__(self, horizon_s):
+        self.horizon_s = horizon_s
+        self.queries = []
+        self.absorbed = []
+
+    def horizon(self, now):
+        self.queries.append(now)
+        return self.horizon_s
+
+    def absorb(self, generator, count, time_s):
+        self.absorbed.append((count, time_s))
+
+
+class TestFluidSegmentBounds:
+    """The segment bound checks the cheap limits before the drain."""
+
+    RATE = 1000.0  # 4 expected arrivals need 4 ms of room
+
+    def _generator(self, rng, registry, drain):
+        engine = EventEngine(mode="batched", fluid=True)
+        pool = registry.allocate("flood", TrafficClass.ATTACK, 4)
+        gen = TrafficGenerator(
+            engine=engine,
+            dispatch=lambda r: True,
+            rng=rng,
+            source_pool=pool,
+            mix=TEXT_CONT,
+            process=PoissonProcess(self.RATE),
+            label="flood",
+        )
+        gen.fluid_drain = drain
+        return engine, gen
+
+    def _try_at_start(self, engine, gen, until):
+        results = []
+        engine.schedule(0.0, lambda: results.append(gen._try_fluid_segment()))
+        engine.run(until=until)
+        return results
+
+    def test_horizon_not_consulted_when_next_event_too_close(self, rng, registry):
+        drain = _SpyDrain(horizon_s=100.0)
+        engine, gen = self._generator(rng, registry, drain)
+        engine.schedule(0.001, lambda: None)
+        assert self._try_at_start(engine, gen, until=10.0) == [False]
+        assert drain.queries == []
+
+    def test_horizon_not_consulted_when_deadline_too_close(self, rng, registry):
+        drain = _SpyDrain(horizon_s=100.0)
+        engine, gen = self._generator(rng, registry, drain)
+        assert self._try_at_start(engine, gen, until=0.002) == [False]
+        assert drain.queries == []
+
+    def test_horizon_bounds_segment_when_room_allows(self, rng, registry):
+        drain = _SpyDrain(horizon_s=0.5)
+        engine, gen = self._generator(rng, registry, drain)
+        engine.schedule(2.0, lambda: None)
+        assert self._try_at_start(engine, gen, until=10.0) == [True]
+        assert drain.queries == [0.0]
+        ((count, time_s),) = drain.absorbed
+        assert time_s == 0.5
+        assert gen.generated == count > 0
+
+    def test_failed_proof_still_declines(self, rng, registry):
+        drain = _SpyDrain(horizon_s=None)
+        engine, gen = self._generator(rng, registry, drain)
+        assert self._try_at_start(engine, gen, until=10.0) == [False]
+        assert drain.queries == [0.0]
