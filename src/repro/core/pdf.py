@@ -75,12 +75,17 @@ class PDFPolicy:
         obs: Optional[Recorder] = None,
     ) -> None:
         self.suspect_list = suspect_list
+        # The list is fixed once built, so the per-request check is one
+        # set lookup on the type's URL (the same verdict as
+        # ``suspect_list.is_suspect``: unprofiled URLs are innocent).
+        self._suspect_urls = frozenset(suspect_list.suspect_urls)
         self.innocent_pool, self.suspect_pool = split_pools(
             servers, suspect_pool_size
         )
         self._innocent_rr = RoundRobinPolicy()
         self._suspect_rr = RoundRobinPolicy()
         self._obs = obs if obs is not None else Recorder()
+        self._counters = self._obs.counters
         self.suspect_forwarded = 0
         self.innocent_forwarded = 0
 
@@ -95,26 +100,29 @@ class PDFPolicy:
         availability), and the NLB's retry path handles a fully-dead
         rack before this policy ever sees the request.
         """
-        if self.suspect_list.is_suspect(request.url):
+        if request.rtype.url in self._suspect_urls:
             pool = self._alive(self.suspect_pool, self.innocent_pool)
             self.suspect_forwarded += 1
-            self._obs.counters.inc("network.pdf_suspect_forwarded")
+            self._counters.inc("network.pdf_suspect_forwarded")
             return self._suspect_rr.select(request, pool)
         pool = self._alive(self.innocent_pool, self.suspect_pool)
         self.innocent_forwarded += 1
-        self._obs.counters.inc("network.pdf_innocent_forwarded")
+        self._counters.inc("network.pdf_innocent_forwarded")
         return self._innocent_rr.select(request, pool)
 
     def _alive(
         self, preferred: Sequence[Server], fallback: Sequence[Server]
     ) -> Sequence[Server]:
         """Healthy members of *preferred*, else failover to *fallback*."""
-        if all(s.healthy for s in preferred):
+        for server in preferred:
+            if not server.healthy:
+                break
+        else:
             return preferred
         alive = [s for s in preferred if s.healthy]
         if alive:
             return alive
-        self._obs.counters.inc("network.pdf_failover_forwarded")
+        self._counters.inc("network.pdf_failover_forwarded")
         return [s for s in fallback if s.healthy]
 
     @property

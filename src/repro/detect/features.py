@@ -125,7 +125,10 @@ class StreamingFeatureExtractor:
         Per-request energy estimate (joules at full frequency) used for
         power attribution — the scheme wires the rack power model's
         ``energy_per_request`` here, the same hook the static suspect
-        list profiles offline.
+        list profiles offline.  It must be a pure function of the type:
+        it is called once per type name and the result reused (names
+        are unique per simulation — the rack's type-slot registry
+        rejects a second type under a known name).
     """
 
     def __init__(
@@ -143,6 +146,7 @@ class StreamingFeatureExtractor:
         }
         self._num_types = len(self._slot_of)
         self._energy_of = energy_of
+        self._energy_by_name: Dict[str, float] = {}
         self._gain = 1.0
         self.gain_clamped = False
         self._windows: Dict[int, _SourceWindow] = {}
@@ -176,7 +180,11 @@ class StreamingFeatureExtractor:
         """Attribute one served request's energy back to its source."""
         window = self._window(source_id, now)
         window.decay_to(now, self.tau_s)
-        window.energy_j += float(self._energy_of(rtype))
+        energy_j = self._energy_by_name.get(rtype.name)
+        if energy_j is None:
+            energy_j = float(self._energy_of(rtype))
+            self._energy_by_name[rtype.name] = energy_j
+        window.energy_j += energy_j
 
     def set_calibration(self, gain: float) -> None:
         """Rescale attributed power by the sensed/modelled ratio.

@@ -77,6 +77,7 @@ class DynamicSuspectPolicy:
         self._innocent_rr = RoundRobinPolicy()
         self._suspect_rr = RoundRobinPolicy()
         self._obs = obs if obs is not None else Recorder()
+        self._counters = self._obs.counters
         self.suspect_forwarded = 0
         self.innocent_forwarded = 0
 
@@ -91,29 +92,33 @@ class DynamicSuspectPolicy:
         the pools fixed at construction, crashed servers are skipped,
         and a fully-dead pool fails over to the other pool's survivors.
         """
+        counters = self._counters
         self.extractor.observe_arrival(
             request.source_id, request.rtype, self._now()
         )
-        self._obs.counters.inc("detect.arrivals_observed")
+        counters.inc("detect.arrivals_observed")
         if request.source_id in self.suspect_sources:
             pool = self._alive(self.suspect_pool, self.innocent_pool)
             self.suspect_forwarded += 1
-            self._obs.counters.inc("detect.suspect_forwarded")
+            counters.inc("detect.suspect_forwarded")
             return self._suspect_rr.select(request, pool)
         pool = self._alive(self.innocent_pool, self.suspect_pool)
         self.innocent_forwarded += 1
-        self._obs.counters.inc("detect.innocent_forwarded")
+        counters.inc("detect.innocent_forwarded")
         return self._innocent_rr.select(request, pool)
 
     def _alive(
         self, preferred: Sequence[Server], fallback: Sequence[Server]
     ) -> Sequence[Server]:
-        if all(s.healthy for s in preferred):
+        for server in preferred:
+            if not server.healthy:
+                break
+        else:
             return preferred
         alive = [s for s in preferred if s.healthy]
         if alive:
             return alive
-        self._obs.counters.inc("detect.failover_forwarded")
+        self._counters.inc("detect.failover_forwarded")
         return [s for s in fallback if s.healthy]
 
     @property
@@ -262,11 +267,12 @@ class OnlineDetectScheme(PowerManagementScheme):
         forwarding policy only after both, so the NLB always sees the
         final carve.
         """
+        clock = self.engine.clock
         self.policy = DynamicSuspectPolicy(
             self.extractor,
             innocent,
             suspect,
-            now=lambda: self.engine.now,
+            now=lambda: clock._now,  # read per arrival: skip the property
             obs=self.engine.obs,
         )
         self.rpm = RequestAwarePowerManager(

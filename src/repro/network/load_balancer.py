@@ -43,8 +43,10 @@ Scheduler = Callable[[float, Callable[[], None]], object]
 #: Per-outcome drop-counter names, precomputed so the drop path does no
 #: per-request string formatting.  The tails match the
 #: ``network.nlb_dropped.`` prefix declared in ``repro.obs.contract``.
+#: Keyed on the outcome's value string: hashing the member itself runs
+#: ``Enum.__hash__`` in Python on every drop.
 _DROP_COUNTER_NAME = {
-    outcome: f"network.nlb_dropped.{outcome.name.lower()}"
+    outcome._value_: f"network.nlb_dropped.{outcome.name.lower()}"
     for outcome in RequestOutcome
 }
 
@@ -89,7 +91,8 @@ class RoundRobinPolicy:
 
     def select(self, request: Request, servers: Sequence[Server]) -> Server:
         """Return the next backend in rotation."""
-        require(len(servers) > 0, "no backend servers")
+        if not servers:
+            raise ValueError("no backend servers")
         server = servers[self._next % len(servers)]
         self._next += 1
         return server
@@ -181,13 +184,6 @@ class NetworkLoadBalancer:
         self.dropped = 0
         self.rerouted = 0
 
-    def _healthy_servers(self) -> List[Server]:
-        """Backends currently in rotation (fast path: everyone healthy)."""
-        for server in self.servers:
-            if not server.healthy:
-                return [s for s in self.servers if s.healthy]
-        return self.servers
-
     def dispatch(self, request: Request) -> bool:
         """Run *request* through the ingress pipeline.
 
@@ -222,9 +218,13 @@ class NetworkLoadBalancer:
 
     def _forward(self, request: Request, now: float) -> bool:
         """Select a healthy backend and submit; retry/drop when none."""
-        healthy = self._healthy_servers()
-        if not healthy:
-            return self._retry_or_drop(request, now)
+        healthy = self.servers
+        for server in healthy:
+            if not server.healthy:
+                healthy = [s for s in healthy if s.healthy]
+                if not healthy:
+                    return self._retry_or_drop(request, now)
+                break
         server = self.policy.select(request, healthy)
         if not server.submit(request):
             self._drop(request, RequestOutcome.DROPPED_QUEUE_FULL, now)
@@ -263,11 +263,11 @@ class NetworkLoadBalancer:
         *count* per-request ones).
         """
         self.dropped += count
-        self._counters.inc(_DROP_COUNTER_NAME[outcome], count)
+        self._counters.inc(_DROP_COUNTER_NAME[outcome._value_], count)
 
     def _drop(self, request: Request, outcome: RequestOutcome, now: float) -> None:
         self.dropped += 1
-        self._counters.inc(_DROP_COUNTER_NAME[outcome])
+        self._counters.inc(_DROP_COUNTER_NAME[outcome._value_])
         if self.drop_sink is not None:
             self.drop_sink(request, outcome, now)
         if request.on_terminal is not None:

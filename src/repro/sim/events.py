@@ -89,12 +89,11 @@ _HeapEntry = Tuple[float, int, int, Event]
 class EventQueue:
     """A cancellable priority queue of :class:`Event` objects."""
 
-    __slots__ = ("_heap", "_count", "_live")
+    __slots__ = ("_heap", "_count")
 
     def __init__(self) -> None:
         self._heap: List[_HeapEntry] = []
         self._count = 0
-        self._live = 0
 
     def push(
         self,
@@ -111,7 +110,6 @@ class EventQueue:
         self._count = seq + 1
         event = Event(time_s, priority, seq, callback, arg)
         heapq.heappush(self._heap, (time_s, priority, seq, event))
-        self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
@@ -124,7 +122,6 @@ class EventQueue:
             event = heapq.heappop(heap)[3]
             if event.cancelled:
                 continue
-            self._live -= 1
             return event
         return None
 
@@ -136,13 +133,18 @@ class EventQueue:
         return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:
-        """Cancel *event* if it has not fired yet."""
-        if not event.cancelled:
-            event.cancelled = True
-            self._live -= 1
+        """Cancel *event* if it has not fired yet (a fired one is a no-op)."""
+        event.cancelled = True
 
     def __len__(self) -> int:
-        return self._live
+        """Live (non-cancelled) entries, counted from the heap.
+
+        Counting on demand keeps every cancellation path honest —
+        :meth:`Event.cancel`, :meth:`cancel` and a cancel of an event
+        that has already fired — and costs the push and pop paths
+        nothing.  Nothing on the hot path asks.
+        """
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return any(not entry[3].cancelled for entry in self._heap)

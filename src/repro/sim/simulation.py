@@ -23,6 +23,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from .._validation import check_non_negative
 from ..cluster.dvfs import FrequencyLadder
 from ..cluster.power_model import ServerPowerModel
 from ..cluster.rack import Rack
@@ -185,13 +186,14 @@ class DataCenterSimulation:
             policy = self.fabric
         if policy is None:
             policy = RoundRobinPolicy()
+        clock = self.engine.clock
         self.nlb = NetworkLoadBalancer(
             servers=self.rack.servers,
             policy=policy,
             firewall=self.firewall,
             admission_filter=self.scheme.admission_filter(),
             drop_sink=self.collector.sink,
-            now=lambda: self.engine.now,
+            now=lambda: clock._now,  # read per dispatch: skip the property
             obs=self.engine.obs,
             retry_policy=RetryPolicy(),
             scheduler=self.engine.schedule,
@@ -336,7 +338,11 @@ class DataCenterSimulation:
         subsequent calls continue from where the previous one stopped,
         so multi-phase experiments (baseline window → attack window)
         are plain sequential calls.
+
+        Raises :class:`ValueError` before arming anything when
+        *duration_s* is negative or not finite.
         """
+        check_non_negative("duration_s", duration_s)
         self.ensure_started()
         self.engine.run(until=self.engine.now + duration_s)
 

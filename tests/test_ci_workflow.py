@@ -126,6 +126,9 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     assert "tests/test_property_equivalence.py" in runs
     # The columnar metrics ledger against its record-list reference.
     assert "tests/test_collector_columns.py" in runs
+    # numpy's named distributions against the request path's direct
+    # call forms: a numpy release that breaks the identity fails here.
+    assert "tests/test_rng_forms.py" in runs
     # Cross-engine identity must exercise the process pool too.
     assert "REPRO_BENCH_ENGINE=scalar" in runs
     assert "REPRO_BENCH_ENGINE=batched" in runs

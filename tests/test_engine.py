@@ -102,6 +102,85 @@ class TestRun:
         assert engine.now == 2.0
 
 
+class TestRunDeadline:
+    """A deadline the clock can never reach, or has passed, is rejected.
+
+    NaN used to mean "no deadline" (``time_s > nan`` is always false),
+    so a run with a recurring control loop never stopped; a past
+    deadline raised from the clock with events queued and returned
+    silently with none.  Each case must raise before dispatching.
+    """
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_until_rejected_and_queue_untouched(self, engine, until):
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(ValueError, match="finite"):
+            engine.run(until=until)
+        assert fired == []
+        assert engine.pending() == 1
+        assert engine.now == 0.0
+        assert engine.obs.counters.get("engine.run_calls") == 0
+
+    def test_past_until_rejected_with_events_queued(self, engine):
+        engine.schedule(1.0, lambda: None)
+        engine.schedule(5.0, lambda: None)
+        engine.run(until=2.0)
+        with pytest.raises(ValueError, match="no earlier than now"):
+            engine.run(until=1.5)
+        assert engine.now == 2.0
+        assert engine.pending() == 1
+
+    def test_past_until_rejected_with_empty_queue(self, engine):
+        engine.run(until=3.0)
+        with pytest.raises(ValueError, match="no earlier than now"):
+            engine.run(until=2.0)
+        assert engine.now == 3.0
+
+    def test_until_equal_to_now_is_a_no_op_run(self, engine):
+        engine.schedule(1.0, lambda: None)
+        engine.run(until=0.0)
+        assert engine.now == 0.0
+        assert engine.pending() == 1
+
+    def test_engine_usable_after_rejected_deadline(self, engine):
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(engine.now))
+        with pytest.raises(ValueError):
+            engine.run(until=float("nan"))
+        engine.run(until=2.0)
+        assert fired == [1.0]
+
+
+class TestPending:
+    """``pending()`` counts live events however they were cancelled."""
+
+    def test_event_handle_cancel_is_counted(self, engine):
+        engine.schedule(1.0, lambda: None)
+        event = engine.schedule(2.0, lambda: None)
+        event.cancel()  # Server.set_level/fail and generator stop use this
+        assert engine.pending() == 1
+        engine.run()
+        assert engine.pending() == 0
+
+    def test_recurrence_stopping_itself_in_its_tick(self, engine):
+        engine.schedule(10.0, lambda: None)
+        holder = {}
+        holder["stop"] = engine.every(1.0, lambda: holder["stop"]())
+        engine.run(until=2.0)
+        assert engine.pending() == 1
+
+    def test_cancel_twice_and_after_dispatch(self, engine):
+        fired = engine.schedule(1.0, lambda: None)
+        live = engine.schedule(5.0, lambda: None)
+        engine.run(until=2.0)
+        engine.cancel(fired)  # already dispatched: no effect on the count
+        assert engine.pending() == 1
+        engine.cancel(live)
+        engine.cancel(live)
+        assert engine.pending() == 0
+
+
 class TestEvery:
     def test_recurrence_fires_at_interval(self, engine):
         fired = []

@@ -50,6 +50,19 @@ class TestRunning:
         sim.run(5.0)
         assert sim.now == 15.0
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -1.0])
+    def test_invalid_duration_rejected_before_anything_runs(self, duration_s):
+        sim = DataCenterSimulation()
+        sim.add_normal_traffic(rate_rps=50.0)
+        # A guard stop, so that an unchecked deadline ends the run early
+        # (and the test fails) instead of running forever.
+        sim.engine.schedule(50.0, sim.engine.stop)
+        with pytest.raises(ValueError, match="duration_s"):
+            sim.run(duration_s)
+        assert sim.now == 0.0
+        assert sim.engine.dispatched == 0
+        assert len(sim.meter) == 0
+
     def test_meter_starts_with_run(self):
         sim = DataCenterSimulation()
         sim.run(5.0)
