@@ -10,7 +10,7 @@ heavy lifting shared by several figures lives here.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro import (
     AntiDopeScheme,
@@ -24,27 +24,55 @@ from repro import (
 )
 from repro.analysis import DopeRegionAnalyzer
 from repro.runner import ResultCache
-from repro.workloads import TrafficClass
-
-# Scenario constants live in repro.bench (the machine-readable bench
-# driver measures the exact workload these benches assert on); the
-# legacy unsuffixed names are kept as aliases.  Engine selection also
-# comes from repro.bench: one env var (``REPRO_BENCH_ENGINE``) switches
-# both the machine-readable bench and every figure bench between the
-# per-request and batched engines.
-from repro.bench import (
-    ATTACK_MIX,
-    ATTACK_RATE_RPS as ATTACK_RATE,
-    ATTACK_START_S as ATTACK_START,
-    DURATION_S as DURATION,
-    MEASURE_FROM_S as MEASURE_FROM,
-    NORMAL_RATE_RPS as NORMAL_RATE,
-    REGION_RATES_RPS as REGION_RATES,
-    REGION_TYPES,
-    SEED,
-    bench_engine,
-    resolve_engine,
+from repro.sim.engine import engine_from_env, resolve_engine_selection
+from repro.workloads import (
+    COLLA_FILT,
+    K_MEANS,
+    TEXT_CONT,
+    VOLUME_DOS,
+    WORD_COUNT,
+    RequestMix,
+    RequestType,
+    TrafficClass,
+    uniform_mix,
 )
+
+# ----------------------------------------------------------------------
+# The evaluation scenario
+# ----------------------------------------------------------------------
+
+#: Master seed of the evaluation scenario.
+SEED = 7
+
+#: Attack onset within the evaluation window.
+ATTACK_START = 30.0
+
+#: Start of the steady-state measurement window.
+MEASURE_FROM = 60.0
+
+#: Full evaluation-scenario duration.
+DURATION = 240.0
+
+# Attack sized at roughly the rack's nominal-frequency service capacity:
+# strong enough that power-fitting DVFS pushes the cluster into overload
+# (the paper's degradation regime) while Normal-PB stays serviceable.
+ATTACK_RATE = 220.0
+
+#: Legitimate background load of the evaluation scenario.
+NORMAL_RATE = 40.0
+
+#: The DOPE flood's request mix (high-power catalog types).
+ATTACK_MIX: RequestMix = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+
+#: The Fig 11 region-grid axes.
+REGION_TYPES: Tuple[RequestType, ...] = (
+    COLLA_FILT,
+    K_MEANS,
+    WORD_COUNT,
+    TEXT_CONT,
+    VOLUME_DOS,
+)
+REGION_RATES: Tuple[float, ...] = (50.0, 150.0, 300.0, 600.0)
 
 #: The Table 2 scheme matrix.
 SCHEMES = {
@@ -116,8 +144,8 @@ def run_attack_scenario(
     here.)
     """
     cfg = config or SimulationConfig(budget_level=budget, seed=seed)
-    engine_mode, engine_fluid = resolve_engine(
-        engine if engine is not None else bench_engine()
+    engine_mode, engine_fluid = resolve_engine_selection(
+        engine if engine is not None else engine_from_env(default="fluid")
     )
     sim = DataCenterSimulation(
         cfg,

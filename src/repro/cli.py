@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three operator-facing commands wrap the library's main workflows:
+Six operator-facing commands wrap the library's main workflows:
 
 ``region``
     Map the DOPE attack region of a configuration (paper Fig. 11).
@@ -14,11 +14,6 @@ Three operator-facing commands wrap the library's main workflows:
     The Fig. 11 region grid through the experiment runner: probe cells
     fan out over ``--workers`` processes and an optional ``--cache-dir``
     makes repeat sweeps near-instant.
-``bench``
-    The machine-readable benchmark (``repro-bench/1`` JSON): runs the
-    evaluation scenario plus a cold/warm region sweep and reports the
-    counter table, wall timings and the event-throughput headline CI
-    regression-checks.
 ``chaos``
     The fault-injection sweep (``repro-chaos/1`` JSON): the Table-2
     scheme matrix re-run under a DOPE flood combined with server
@@ -30,9 +25,9 @@ Three operator-facing commands wrap the library's main workflows:
     registries, with text/JSON/SARIF output and a baseline workflow.
 
 All commands are deterministic per ``--seed``; ``sweep`` and ``chaos``
-output is additionally byte-identical for any worker count, and
-``bench``'s counter table (not its wall timings) is deterministic per
-seed.
+output is additionally byte-identical for any worker count.  The
+simulator's benchmark is ``perfbench/run.py`` (see
+``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -44,11 +39,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .analysis import DopeRegionAnalyzer, format_table
-from .bench import BENCH_ENGINES, SEED as BENCH_SEED
 from .cluster import FLAT_TOPOLOGY, topology_names
 from .detect import PLACEMENTS, SCHEME_NAMES, make_scheme
 from .devtools import lint as devtools_lint
-from .bench import run_bench
 from .faults import run_chaos
 from .power import BudgetLevel
 from .runner import ResultCache
@@ -69,7 +62,6 @@ __all__ = [
     "cmd_compare",
     "cmd_attack",
     "cmd_sweep",
-    "cmd_bench",
     "cmd_chaos",
     "cmd_lint",
     "main",
@@ -100,6 +92,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "fix the fleet size, so --servers applies to 'flat' only"
         ),
     )
+
+
+def _add_scheme_options(parser: argparse.ArgumentParser) -> None:
+    """Scheme tuning knobs for the commands that build their own config.
+
+    ``chaos`` fixes its scenario matrix and never reads these, so it
+    does not register them: passing one there is a usage error rather
+    than a silently ignored setting.
+    """
     parser.add_argument(
         "--detect-placement",
         choices=list(PLACEMENTS),
@@ -165,8 +166,8 @@ def _config(args: argparse.Namespace, **overrides: object) -> SimulationConfig:
     kwargs: dict = dict(
         budget_level=_budget(args.budget),
         seed=args.seed,
-        detect_placement=getattr(args, "detect_placement", "dc"),
-        prediction_horizon_s=getattr(args, "prediction_horizon", 60.0),
+        detect_placement=args.detect_placement,
+        prediction_horizon_s=args.prediction_horizon,
     )
     kwargs.update(overrides)
     if args.topology == FLAT_TOPOLOGY:
@@ -184,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     region = sub.add_parser("region", help="map the DOPE attack region (Fig 11)")
     _add_common(region)
+    _add_scheme_options(region)
     region.add_argument(
         "--rates",
         type=float,
@@ -198,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="compare Table-2 schemes under a DOPE flood"
     )
     _add_common(compare)
+    _add_scheme_options(compare)
     compare.add_argument("--attack-rate", type=float, default=220.0)
     compare.add_argument("--duration", type=float, default=240.0)
     compare.add_argument(
@@ -211,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "attack", help="run the adaptive DOPE attacker (Fig 12)"
     )
     _add_common(attack)
+    _add_scheme_options(attack)
     attack.add_argument("--agents", type=int, default=40)
     attack.add_argument("--max-rate", type=float, default=1200.0)
     attack.add_argument("--duration", type=float, default=400.0)
@@ -226,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="region grid through the parallel/cached experiment runner",
     )
     _add_common(sweep)
+    _add_scheme_options(sweep)
     sweep.add_argument(
         "--rates",
         type=float,
@@ -256,41 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk result cache; repeat sweeps reuse stored cells",
     )
     _add_scheme_selector(sweep)
-
-    bench = sub.add_parser(
-        "bench", help="machine-readable benchmark (repro-bench/1 JSON)"
-    )
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized bench (seconds; the default)",
-    )
-    mode.add_argument(
-        "--full",
-        action="store_true",
-        help="full evaluation-sized bench (minutes)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=BENCH_SEED, help="master RNG seed"
-    )
-    bench.add_argument(
-        "--name", default=None, help="payload name (default: bench-<mode>)"
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON payload here (default: stdout)",
-    )
-    bench.add_argument(
-        "--engine",
-        choices=list(BENCH_ENGINES),
-        default=None,
-        help=(
-            "execution engine (default: $REPRO_BENCH_ENGINE or 'fluid')"
-        ),
-    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -530,24 +500,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench`` — emit the machine-readable benchmark payload."""
-    mode = "full" if args.full else "smoke"
-    name = args.name if args.name else f"bench-{mode}"
-    payload = run_bench(mode=mode, seed=args.seed, name=name, engine=args.engine)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        headline = payload["headline"]
-        print(
-            f"wrote {args.out}  "
-            f"({headline['metric']}={headline['value']:.0f})"  # type: ignore[index]
-        )
-    else:
-        print(text)
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``repro chaos`` — emit the fault-injection sweep payload."""
     mode = "full" if args.full else "smoke"
@@ -585,7 +537,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "compare": cmd_compare,
         "attack": cmd_attack,
         "sweep": cmd_sweep,
-        "bench": cmd_bench,
         "chaos": cmd_chaos,
         "lint": cmd_lint,
     }

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from .._validation import check_fraction, check_int, check_positive
 from ..workloads.catalog import RequestType
 from .dvfs import FrequencyLadder
@@ -123,10 +121,7 @@ class ServerPowerModel:
         The count-based hot path: *counts* holds how many workers run
         each registered type and *factor_row* the cached
         ``dynamic_power_factor`` per slot at the server's level (see
-        :class:`PowerEvalTable`).  The accumulation order — slot 0, 1,
-        2, … with ``count * factor`` terms — is the contract shared
-        with the vectorised rack path, so scalar and batched modes
-        produce bit-identical floats.
+        :class:`PowerEvalTable`).
         """
         dyn = 0.0
         for i in range(len(counts)):
@@ -215,11 +210,6 @@ class PowerEvalTable:
     one float per registered type slot, materialised lazily per ladder
     level.  The cached values are exactly the floats the uncached calls
     would produce, so swapping the table in changes no result.
-
-    :meth:`factor_matrix` exposes the same cache as a dense
-    ``(num_slots, num_levels)`` array for the batched mode's vectorised
-    rack evaluation; because the matrix is filled from the identical
-    cached rows, scalar and vector paths share every input bit.
     """
 
     __slots__ = (
@@ -229,8 +219,6 @@ class PowerEvalTable:
         "_factor_rows",
         "_speedup_rows",
         "_idle_by_level",
-        "_matrix",
-        "_matrix_slots",
     )
 
     def __init__(
@@ -248,8 +236,6 @@ class PowerEvalTable:
             model.idle_power(ladder.ratio(level))
             for level in range(ladder.max_level + 1)
         ]
-        self._matrix: Optional[np.ndarray] = None
-        self._matrix_slots = -1
 
     def slot_of(self, rtype: RequestType) -> int:
         """Delegate to the shared registry."""
@@ -285,27 +271,3 @@ class PowerEvalTable:
             for rtype in types[len(row):]:
                 row.append(rtype.speedup(ratio))
         return row
-
-    def idle_array(self) -> np.ndarray:
-        """Idle floor per level as an array (vector path)."""
-        return np.asarray(self._idle_by_level)
-
-    def factor_matrix(self) -> np.ndarray:
-        """Dense ``(num_slots, num_levels)`` factor matrix (vector path).
-
-        Rebuilt only when the registry has grown since the last call;
-        entries are copied from the scalar rows so both paths read the
-        same floats.
-        """
-        num_slots = len(self.registry)
-        if self._matrix is None or self._matrix_slots != num_slots:
-            num_levels = self.ladder.max_level + 1
-            rows = [self.factor_row(level) for level in range(num_levels)]
-            matrix = np.empty((num_slots, num_levels))
-            for level in range(num_levels):
-                row = rows[level]
-                for slot in range(num_slots):
-                    matrix[slot, level] = row[slot]
-            self._matrix = matrix
-            self._matrix_slots = num_slots
-        return self._matrix

@@ -22,14 +22,6 @@ from .server import CompletionSink, Server
 
 __all__ = ["Rack"]
 
-#: Below this fleet size the per-server cached scalar sum beats the
-#: vectorised evaluation: NumPy's per-call dispatch overhead (~µs per
-#: array op) outweighs the loop it replaces when only a handful of
-#: servers need summing.  Measured crossover on the reference machine
-#: is around a dozen servers; 16 keeps a safety margin.  Both paths
-#: are bit-identical, so the switch is purely an execution choice.
-_VECTOR_MIN_SERVERS = 16
-
 
 class Rack:
     """A set of identical leaf servers sharing one power feed.
@@ -67,8 +59,7 @@ class Rack:
         self.power_model = power_model or ServerPowerModel()
         self.ladder = ladder or FrequencyLadder()
         # One shared physics table: all servers agree on the type→slot
-        # map, which is what lets the vectorised power path evaluate the
-        # whole rack against one factor matrix.
+        # map and read the same cached per-level rows.
         self.eval_table = PowerEvalTable(self.power_model, self.ladder)
         base_rng = rng if rng is not None else np.random.default_rng(0)
         seeds = base_rng.integers(0, 2**63 - 1, size=num_servers)
@@ -103,14 +94,9 @@ class Rack:
     def total_power(self) -> float:
         """Instantaneous rack power draw (watts).
 
-        In batched mode a large fleet is evaluated in one vectorised
-        pass; the scalar mode (and any fleet below
-        :data:`_VECTOR_MIN_SERVERS`) sums per-server cached
-        evaluations.  Both paths produce bit-identical floats (see
-        :meth:`total_power_vector`).
+        The left-to-right sum of per-server cached evaluations: a server
+        re-evaluates its power only when its load or level changed.
         """
-        if self.engine.batched and len(self.servers) >= _VECTOR_MIN_SERVERS:
-            return self.total_power_vector()
         return sum(s.current_power() for s in self.servers)
 
     def per_server_power(self) -> List[float]:
@@ -118,63 +104,9 @@ class Rack:
 
         The per-element view :meth:`total_power` reduces over; the power
         topology layer slices it into per-subtree (rack PDU / row PDU /
-        feed) readings.  Mode selection mirrors :meth:`total_power`, and
-        both paths yield bit-identical element values.
+        feed) readings.
         """
-        if self.engine.batched and len(self.servers) >= _VECTOR_MIN_SERVERS:
-            return self.per_server_power_vector()
         return [s.current_power() for s in self.servers]
-
-    def per_server_power_vector(self) -> List[float]:
-        """Vectorised per-server power: all servers in one NumPy pass.
-
-        Element-wise bit-identical to ``[s.current_power() for s in
-        servers]``: the dynamic term accumulates in type-slot order
-        exactly like :meth:`ServerPowerModel.power_from_counts`
-        (element-wise IEEE float64 ops match the scalar ops
-        one-for-one), servers that never saw a type contribute exact
-        ``0.0`` terms, and unhealthy servers are masked to the scalar
-        path's ``0.0``.
-        """
-        servers = self.servers
-        self.engine.obs.counters.inc(
-            "cluster.power_model_vector_evals", len(servers)
-        )
-        table = self.eval_table
-        num_slots = len(table.registry)
-        if num_slots == 0:
-            # No request ever started — idle floors and crash zeros only.
-            return [s.current_power() for s in servers]
-        n = len(servers)
-        counts = np.zeros((n, num_slots))
-        levels = np.empty(n, dtype=np.intp)
-        healthy = np.empty(n, dtype=bool)
-        for j, server in enumerate(servers):
-            levels[j] = server.level
-            healthy[j] = server.healthy
-            server_counts = server._counts
-            for i in range(len(server_counts)):
-                counts[j, i] = server_counts[i]
-        factor_matrix = table.factor_matrix()
-        dyn = np.zeros(n)
-        for i in range(num_slots):
-            dyn += counts[:, i] * factor_matrix[i, levels]
-        power_w = table.idle_array()[levels] + self.power_model._per_worker * dyn
-        power_w[~healthy] = 0.0
-        return list(power_w.tolist())
-
-    def total_power_vector(self) -> float:
-        """Vectorised rack power: all servers in one NumPy evaluation.
-
-        Bit-identical to ``sum(s.current_power() for s in servers)``:
-        the elements come from :meth:`per_server_power_vector` and the
-        final reduction is the same left-to-right Python sum over
-        servers.
-        """
-        total = 0.0
-        for value in self.per_server_power_vector():
-            total += value
-        return total
 
     def total_energy_joules(self) -> float:
         """Total energy consumed by all servers so far."""

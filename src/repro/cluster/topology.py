@@ -12,7 +12,7 @@ trip that rack's PDU while the DC-feed meter still reads under budget.
 :class:`PowerTopology` overlays this tree on the existing flat
 :class:`~repro.cluster.rack.Rack`: every tree node owns a *contiguous
 slice* of the rack's server list, so the single-rack hot path (NLB
-rotation, vectorised power evaluation, metering) is untouched and the
+rotation, per-server power evaluation, metering) is untouched and the
 tree is pure bookkeeping on top.  Node power is always the left-to-right
 Python sum over the node's leaf slice — the same reduction order as
 ``Rack.total_power`` — so per-level readings are bit-identical to the
@@ -109,10 +109,9 @@ class TopologySpec:
 
 
 #: Named tree presets.  ``tree-small`` is the CI smoke tree (2 racks);
-#: ``tree-dc`` is the managed reference DC whose 16 servers also cross
-#: the batched engine's vectorisation gate; ``tree-pinned`` is the
-#: vulnerability arm — flowlet switching off (flows pin their hashed
-#: rack) and PDU protection off, the configuration under which a
+#: ``tree-dc`` is the managed 16-server reference DC; ``tree-pinned``
+#: is the vulnerability arm — flowlet switching off (flows pin their
+#: hashed rack) and PDU protection off, the configuration under which a
 #: concentrated flood demonstrably trips a rack PDU while the DC feed
 #: stays under budget.
 _TOPOLOGIES: Dict[str, TopologySpec] = {
@@ -316,12 +315,11 @@ class PowerTopology:
     def per_node_power(self, rack: "Rack") -> Dict[str, float]:
         """Instantaneous power of every node, keyed by node name.
 
-        One per-server evaluation (vectorised under the batched engine)
-        feeds every subtree reduction; each reduction is the same
-        left-to-right sum as :meth:`node_power_w`.  ``numpy`` pairwise
-        reductions are deliberately avoided: they regroup additions and
-        would break the bit-identity of per-level readings with the sum
-        of their leaf servers.
+        One per-server evaluation feeds every subtree reduction; each
+        reduction is the same left-to-right sum as :meth:`node_power_w`.
+        ``numpy`` pairwise reductions are deliberately avoided: they
+        regroup additions and would break the bit-identity of per-level
+        readings with the sum of their leaf servers.
         """
         per_server = rack.per_server_power()
         powers: Dict[str, float] = {}

@@ -13,7 +13,7 @@ determinism boundary:
 * :class:`WallTimers` — segregated wall-clock phase timers (the only
   place in ``src/repro`` allowed to read a wall clock).  Timings are
   **excluded** from every deterministic artifact and hash; they exist
-  so benches can report real throughput (events per wall-second).
+  so a run can report where its wall time went.
 * :class:`Recorder` — one counters + timers bundle threaded through a
   simulation (every :class:`~repro.sim.engine.EventEngine` owns one).
 * :class:`RunManifest` — the machine-readable record of one run:
@@ -32,13 +32,7 @@ from .contract import (
     is_declared_timer,
 )
 from .counters import Counters
-from .manifest import (
-    BENCH_SCHEMA_ID,
-    RunManifest,
-    config_hash,
-    deterministic_hash,
-    validate_bench_payload,
-)
+from .manifest import RunManifest, config_hash, deterministic_hash
 from .recorder import Recorder
 from .sanitize import jsonable
 from .timers import WallTimers
@@ -53,9 +47,7 @@ __all__ = [
     "WallTimers",
     "Recorder",
     "RunManifest",
-    "BENCH_SCHEMA_ID",
     "config_hash",
     "deterministic_hash",
     "jsonable",
-    "validate_bench_payload",
 ]

@@ -61,7 +61,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "engine.fluid_time_advanced_s",
         # sim.cluster — server fleet lifecycle
         "cluster.power_model_evals",
-        "cluster.power_model_vector_evals",
         "cluster.dvfs_transitions",
         "cluster.server_failures",
         "cluster.server_recoveries",
@@ -131,7 +130,6 @@ EXECUTION_COUNTER_NAMES: FrozenSet[str] = frozenset(
         "engine.fluid_segments",
         "engine.fluid_time_advanced_s",
         "cluster.power_model_evals",
-        "cluster.power_model_vector_evals",
     }
 )
 
@@ -142,14 +140,6 @@ TIMER_NAMES: FrozenSet[str] = frozenset(
         "runner.run_cells",
         "runner.cell",
         "runner.pool_batch",
-        "bench.attack_scenario",
-        "bench.chaos_scenario",
-        "bench.volume_flood",
-        "bench.tree_topology",
-        "bench.online_detect",
-        "bench.prediction",
-        "bench.region_sweep_cold",
-        "bench.region_sweep_warm",
     }
 )
 

@@ -14,7 +14,7 @@ counted quantity is simulated time, e.g. ``engine.sim_time_advanced_s``).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import Dict, Union
 
 __all__ = ["Counters"]
 
@@ -40,17 +40,6 @@ class Counters:
     def get(self, name: str) -> Number:
         """Current value of *name* (0 when never incremented)."""
         return self._values.get(name, 0)
-
-    def merge(self, other: Union["Counters", Mapping[str, Number]]) -> None:
-        """Add another counter table into this one, key by key.
-
-        Used by the bench driver to fold per-phase or per-simulation
-        recorders into one run-level table; addition is commutative, so
-        the merged table is independent of merge order.
-        """
-        table = other.as_dict() if isinstance(other, Counters) else other
-        for name, amount in table.items():
-            self.inc(name, amount)
 
     def as_dict(self) -> Dict[str, Number]:
         """Name-sorted snapshot — the canonical serialised form."""

@@ -1,21 +1,16 @@
-"""Run manifests and the BENCH JSON contract.
+"""Run manifests: the machine-readable record of one run.
 
-A :class:`RunManifest` is the machine-readable record of one simulation
-or bench run: *what* ran (config hash, seed, package version, name) and
-*what happened* (the deterministic counter table), with the wall-clock
-timings carried alongside but **outside** the deterministic hash.  The
-split is the layer's central invariant:
+A :class:`RunManifest` records *what* ran (config hash, seed, package
+version, name) and *what happened* (the deterministic counter table),
+with the wall-clock timings carried alongside but **outside** the
+deterministic hash.  The split is the layer's central invariant:
 
 * :meth:`RunManifest.deterministic_payload` — everything two same-seed
   runs must agree on, byte for byte;
 * :meth:`RunManifest.deterministic_hash` — SHA-256 of that payload's
   canonical JSON, the value regression gates compare;
-* ``timings_s`` / ``derived`` — wall-clock measurements (throughput,
-  per-phase seconds) that vary run to run and machine to machine.
-
-:func:`validate_bench_payload` is the schema check for the
-``BENCH_<name>.json`` documents ``python -m repro bench`` emits — a
-hand-rolled validator so a bare install needs no schema dependency.
+* ``timings_s`` — wall-clock measurements (per-phase seconds) that vary
+  run to run and machine to machine.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 from .._validation import check_int
 from .._version import __version__
@@ -33,12 +28,7 @@ __all__ = [
     "RunManifest",
     "config_hash",
     "deterministic_hash",
-    "validate_bench_payload",
-    "BENCH_SCHEMA_ID",
 ]
-
-#: Identifier stamped into every bench document this version emits.
-BENCH_SCHEMA_ID = "repro-bench/1"
 
 Number = Union[int, float]
 
@@ -159,118 +149,3 @@ class RunManifest:
     def from_json(cls, text: str) -> "RunManifest":
         """Parse a :meth:`to_json` document."""
         return cls.from_dict(json.loads(text))
-
-
-# ----------------------------------------------------------------------
-# BENCH_<name>.json schema
-# ----------------------------------------------------------------------
-
-#: Required top-level keys of a bench document and their types.
-_BENCH_REQUIRED = {
-    "schema": str,
-    "name": str,
-    "mode": str,
-    "version": str,
-    "seed": int,
-    "config_hash": str,
-    "headline": dict,
-    "counters": dict,
-    "timings_s": dict,
-    "derived": dict,
-    "phases": list,
-}
-
-#: Required keys of the headline block.
-_HEADLINE_REQUIRED = ("metric", "value")
-
-#: Derived metrics every bench document must report.
-_DERIVED_REQUIRED = (
-    "events_per_wall_s",
-    "sim_time_per_wall_s",
-    "runner_cache_hit_rate",
-)
-
-
-def validate_bench_payload(payload: object) -> List[str]:
-    """Validate a bench document; return a list of problems (empty = ok).
-
-    Checks structure, types, the schema id, headline consistency, and
-    the determinism boundary (counters numeric, timing entries shaped
-    ``{"total_s": float, "count": int}``).
-    """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"bench payload must be a JSON object, got {type(payload).__name__}"]
-    for key, expected in _BENCH_REQUIRED.items():
-        if key not in payload:
-            problems.append(f"missing required key {key!r}")
-        elif expected is int:
-            if isinstance(payload[key], bool) or not isinstance(payload[key], int):
-                problems.append(f"key {key!r} must be an int")
-        elif not isinstance(payload[key], expected):
-            problems.append(f"key {key!r} must be {expected.__name__}")
-    if problems:
-        return problems
-
-    if payload["schema"] != BENCH_SCHEMA_ID:
-        problems.append(
-            f"schema must be {BENCH_SCHEMA_ID!r}, got {payload['schema']!r}"
-        )
-    if payload["mode"] not in ("smoke", "full"):
-        problems.append(f"mode must be 'smoke' or 'full', got {payload['mode']!r}")
-
-    headline = payload["headline"]
-    for key in _HEADLINE_REQUIRED:
-        if key not in headline:
-            problems.append(f"headline missing {key!r}")
-    if "value" in headline and not isinstance(headline["value"], (int, float)):
-        problems.append("headline value must be numeric")
-    derived = payload["derived"]
-    for key in _DERIVED_REQUIRED:
-        if key not in derived:
-            problems.append(f"derived missing {key!r}")
-        elif not isinstance(derived.get(key), (int, float)):
-            problems.append(f"derived {key!r} must be numeric")
-    metric = headline.get("metric")
-    if metric is not None and metric not in derived:
-        problems.append(f"headline metric {metric!r} not present in derived")
-
-    for name, value in payload["counters"].items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"counter {name!r} must be numeric")
-    for name, entry in payload["timings_s"].items():
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("total_s"), (int, float))
-            or not isinstance(entry.get("count"), int)
-        ):
-            problems.append(
-                f"timing {name!r} must be {{'total_s': number, 'count': int}}"
-            )
-    for index, phase in enumerate(payload["phases"]):
-        if (
-            not isinstance(phase, dict)
-            or not isinstance(phase.get("name"), str)
-            or not isinstance(phase.get("wall_s"), (int, float))
-        ):
-            problems.append(
-                f"phases[{index}] must be {{'name': str, 'wall_s': number}}"
-            )
-            continue
-        # Optional per-phase throughput fields (added with the tree
-        # phase): when present both must be numeric, and events without
-        # events_per_wall_s (or vice versa) is malformed.
-        has_events = "events" in phase
-        has_rate = "events_per_wall_s" in phase
-        if has_events != has_rate:
-            problems.append(
-                f"phases[{index}] must carry 'events' and "
-                "'events_per_wall_s' together or not at all"
-            )
-        for key in ("events", "events_per_wall_s"):
-            if key in phase and (
-                isinstance(phase[key], bool)
-                or not isinstance(phase[key], (int, float))
-            ):
-                problems.append(f"phases[{index}] {key!r} must be numeric")
-    return problems

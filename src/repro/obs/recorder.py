@@ -1,12 +1,11 @@
 """The counters + timers bundle threaded through a simulation.
 
 One :class:`Recorder` travels with one :class:`~repro.sim.engine.
-EventEngine` (the engine constructs a fresh one unless handed a shared
-instance), so every component that can reach the engine — servers,
-schemes, the NLB, the meter — records into the same two tables without
-any global state.  Benches that span several simulations create one
-recorder per phase and fold the counter tables together with
-:meth:`~repro.obs.counters.Counters.merge`.
+EventEngine` (each engine constructs its own), so every component that
+can reach the engine — servers, schemes, the NLB, the meter — records
+into the same two tables without any global state.  Sweeps pass a
+recorder of their own to the experiment runner for the runner-level
+counters and timers.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ __all__ = [
 ENGINE_MODES = ("scalar", "batched")
 
 #: Environment variable selecting an engine for env-aware entry points
-#: (the bench driver, the figure benches, the region sweep).
+#: (the figure benches, the region sweep).
 ENGINE_SELECT_ENV = "REPRO_BENCH_ENGINE"
 
 #: Valid engine selections: the two execution modes plus ``"fluid"``
@@ -82,7 +82,7 @@ ENGINE_SELECTIONS = ("scalar", "batched", "fluid")
 def engine_from_env(default: str = "fluid") -> str:
     """The engine selected by ``REPRO_BENCH_ENGINE``, or *default*.
 
-    Entry points differ in their default: the bench driver measures at
+    Entry points differ in their default: the figure benches run at
     full speed (``"fluid"``), while exact consumers (the region sweep)
     default to ``"batched"``, which is byte-identical to scalar.
     """
@@ -111,17 +111,14 @@ def resolve_engine_selection(engine: str) -> Tuple[str, bool]:
 class EventEngine:
     """Heap-based discrete event loop with a monotonic clock.
 
-    Every engine carries a :class:`~repro.obs.Recorder` (``obs``): the
-    shared observation context all components wired to this engine
-    record into.  Pass one in to share a recorder across several
-    engines (bench phases); the default is a private fresh recorder.
+    Every engine carries its own :class:`~repro.obs.Recorder`
+    (``obs``): the observation context all components wired to this
+    engine record into.
 
     Parameters
     ----------
     start_time_s:
         Initial simulation time.
-    obs:
-        Shared observation context (default: a private recorder).
     mode:
         Execution strategy, ``"scalar"`` (default) or ``"batched"`` —
         see the module docstring.  Same-seed runs produce byte-identical
@@ -136,7 +133,6 @@ class EventEngine:
     def __init__(
         self,
         start_time_s: float = 0.0,
-        obs: Optional[Recorder] = None,
         mode: str = "scalar",
         fluid: bool = False,
     ) -> None:
@@ -147,7 +143,7 @@ class EventEngine:
         if fluid and mode != "batched":
             raise ValueError("fluid mode requires mode='batched'")
         self.clock = SimulationClock(start_time_s)
-        self.obs = obs if obs is not None else Recorder()
+        self.obs = Recorder()
         self.mode = mode
         #: Fast-path flag components branch on (``mode == "batched"``).
         self.batched = mode == "batched"

@@ -69,35 +69,27 @@ class DataCenterSimulation:
     scheme:
         The Table 2 power-management scheme under test; ``None`` runs
         unmanaged (the vulnerability-characterisation arm).
-    engine:
-        Pre-built engine, e.g. one carrying a caller-owned
-        :class:`~repro.obs.Recorder`; overrides *engine_mode*.
     engine_mode:
-        Execution strategy for a privately-built engine (``"scalar"``
+        Execution strategy of the simulation's engine (``"scalar"``
         or ``"batched"``).  Deliberately not part of
         :class:`SimulationConfig`: a mode is a way of *evaluating* the
         model, not a different model, so it must not move config hashes
         or deterministic manifests.
     fluid:
-        Opt a privately-built batched engine into hybrid fluid
-        integration (see :mod:`repro.sim.fluid`).  Statistically
-        faithful, not byte-identical — off by default.
+        Opt the batched engine into hybrid fluid integration (see
+        :mod:`repro.sim.fluid`).  Statistically faithful, not
+        byte-identical — off by default.
     """
 
     def __init__(
         self,
         config: SimulationConfig = SimulationConfig(),
         scheme: Optional[PowerManagementScheme] = None,
-        engine: Optional[EventEngine] = None,
         engine_mode: str = "scalar",
         fluid: bool = False,
     ) -> None:
         self.config = config
-        self.engine = (
-            engine
-            if engine is not None
-            else EventEngine(mode=engine_mode, fluid=fluid)
-        )
+        self.engine = EventEngine(mode=engine_mode, fluid=fluid)
         self._seedseq = np.random.SeedSequence(config.seed)
         self.collector = MetricsCollector()
         self.registry = SourceRegistry()

@@ -22,8 +22,8 @@ def record_aggregate_flow(counters, timers):
     counters.inc("engine.cohort_requests", 4)
     counters.inc("engine.fluid_segments")
     counters.inc("engine.fluid_time_advanced_s", 0.5)
-    counters.inc("cluster.power_model_vector_evals", 16)
-    with timers.phase("bench.volume_flood"):
+    counters.inc("cluster.power_model_evals", 16)
+    with timers.phase("engine.run"):
         pass
 
 
@@ -33,7 +33,7 @@ def record_topology(counters, timers, node):
     counters.inc("fabric.path_switches")
     counters.inc(f"topology.violation_slots.{node}")
     counters.inc(f"topology.cap_slots.{node}")
-    with timers.phase("bench.tree_topology"):
+    with timers.phase("runner.run_cells"):
         pass
 
 
@@ -42,7 +42,7 @@ def record_detection(counters, timers):
     counters.inc("detect.arrivals_observed")
     counters.inc("detect.quarantine_enters", 3)
     counters.inc("detect.calibration_clamped")
-    with timers.phase("bench.online_detect"):
+    with timers.phase("runner.pool_batch"):
         pass
 
 
@@ -51,5 +51,5 @@ def record_prediction(counters, timers):
     counters.inc("predict.healthy_slots")
     counters.inc("predict.soft_cap_slots", 2)
     counters.inc("predict.blind_violation_slots")
-    with timers.phase("bench.prediction"):
+    with timers.phase("runner.cell"):
         pass

@@ -33,12 +33,17 @@ from repro import (
     TokenScheme,
 )
 from repro.analysis.export import collector_summary, records_to_csv
-from repro.bench import ATTACK_MIX
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.contract import EXECUTION_COUNTER_NAMES
 from repro.power import BudgetLevel
-from repro.sim.engine import EventEngine
-from repro.workloads import TEXT_CONT, VOLUME_DOS, WORD_COUNT, uniform_mix
+from repro.workloads import (
+    COLLA_FILT,
+    K_MEANS,
+    TEXT_CONT,
+    VOLUME_DOS,
+    WORD_COUNT,
+    uniform_mix,
+)
 
 DURATION_S = 20.0
 
@@ -50,6 +55,8 @@ SCHEMES = {
 }
 
 SEEDS = (1, 2, 3)
+
+ATTACK_MIX = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
 
 FLASH_MIX = uniform_mix((TEXT_CONT, WORD_COUNT))
 
@@ -94,8 +101,9 @@ SCENARIOS = {
 
 def _run(scheme_factory, scenario: str, seed: int, mode: str, fluid=False):
     cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=seed)
-    engine = EventEngine(mode=mode, fluid=fluid)
-    sim = DataCenterSimulation(cfg, scheme=scheme_factory(), engine=engine)
+    sim = DataCenterSimulation(
+        cfg, scheme=scheme_factory(), engine_mode=mode, fluid=fluid
+    )
     SCENARIOS[scenario](sim)
     sim.run(DURATION_S)
     return sim
@@ -180,8 +188,7 @@ def test_fluid_mode_conserves_requests_outside_the_contract():
     cfg = SimulationConfig(
         budget_level=BudgetLevel.LOW, seed=5, firewall_poll_s=1.0
     )
-    engine = EventEngine(mode="batched", fluid=True)
-    sim = DataCenterSimulation(cfg, engine=engine)
+    sim = DataCenterSimulation(cfg, engine_mode="batched", fluid=True)
     sim.add_normal_traffic(rate_rps=20.0)
     sim.add_flood(
         mix=VOLUME_DOS,

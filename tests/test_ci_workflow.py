@@ -3,7 +3,7 @@
 The pinned dev container has no ``actionlint``, so this suite is the
 schema check keeping the workflow honest: it must parse as YAML, define
 the five jobs the repo's CI contract names (lint, test matrix,
-bench-smoke, golden equivalence, topology equivalence), run the *same*
+golden equivalence, topology equivalence, perfbench smoke), run the *same*
 gate script a developer runs locally, cover the supported Python matrix
 with pip caching keyed on both packaging manifests, and cancel
 superseded runs of the same ref.
@@ -49,9 +49,9 @@ def test_workflow_defines_the_five_contract_jobs(workflow):
     assert set(workflow["jobs"]) == {
         "lint",
         "test",
-        "bench-smoke",
         "equivalence",
         "topology-equivalence",
+        "perfbench-smoke",
     }
 
 
@@ -149,34 +149,31 @@ def test_topology_equivalence_job_runs_suite_and_tree_cross_check(workflow):
     assert "diff sweep_tree_scalar.txt sweep_tree_batched.txt" in runs
 
 
-def test_bench_smoke_job_runs_bench_and_regression_gate(workflow):
-    runs = _run_lines(workflow["jobs"]["bench-smoke"])
-    assert "python -m repro bench --smoke --out BENCH_smoke.json" in runs
-    assert (
-        "python scripts/bench_compare.py BENCH_baseline.json BENCH_smoke.json"
-        in runs
-    )
-    # The per-phase gate must be pinned explicitly so a default change
-    # in bench_compare.py cannot silently loosen CI.
-    assert "--phase-threshold 0.5" in runs
+def test_perfbench_smoke_job_runs_one_round_and_fails_on_failed_runs(workflow):
+    runs = _run_lines(workflow["jobs"]["perfbench-smoke"])
+    assert "python3 perfbench/run.py --runs 1 --out perfbench-smoke.json" in runs
+    # run.py exits 0 even when runs fail, so the job must read the
+    # payload itself: any failed run fails the job and prints its errors.
+    assert 'summary["failed"] > 0' in runs
+    assert 'summary["errors"]' in runs
+    assert "sys.exit(1 if failed else 0)" in runs
 
 
-def test_bench_smoke_job_uploads_bench_telemetry(workflow):
+def test_perfbench_smoke_job_uploads_payload(workflow):
     uploads = [
         step
-        for step in _steps(workflow["jobs"]["bench-smoke"])
+        for step in _steps(workflow["jobs"]["perfbench-smoke"])
         if step.get("uses", "").startswith("actions/upload-artifact@")
     ]
-    assert uploads and uploads[0]["with"]["path"] == "BENCH_*.json"
-    # Telemetry must be captured even when the regression gate fails.
+    assert uploads and uploads[0]["with"]["path"] == "perfbench-smoke.json"
+    # The payload must be captured even when a run fails.
     assert uploads[0]["if"] == "always()"
 
 
 def test_ci_commands_reference_only_existing_paths(workflow):
     root = Path(__file__).parent.parent
     assert (root / "scripts" / "check.sh").is_file()
-    assert (root / "scripts" / "bench_compare.py").is_file()
-    assert (root / "BENCH_baseline.json").is_file()
+    assert (root / "perfbench" / "run.py").is_file()
     assert (root / "lint-baseline.json").is_file()
     for job in workflow["jobs"].values():
         for line in _run_lines(job).splitlines():

@@ -144,6 +144,17 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--smoke", "--full"])
 
+    @pytest.mark.parametrize(
+        "flag", [["--prediction-horizon", "120"], ["--detect-placement", "row"]]
+    )
+    def test_chaos_rejects_scheme_options_it_would_ignore(self, flag, capsys):
+        # The chaos matrix never reads these knobs, so accepting them
+        # would run with the defaults while looking configured.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "--schemes", "prediction"] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_chaos_smoke_writes_valid_payload(self, capsys, tmp_path):
         out = tmp_path / "chaos.json"
         code = main(["chaos", "--smoke", "--seed", "4", "--out", str(out)])

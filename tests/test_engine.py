@@ -1,8 +1,16 @@
 """Unit tests for the discrete-event engine."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sim import EventEngine
+from repro.sim.engine import (
+    ENGINE_SELECT_ENV,
+    engine_from_env,
+    resolve_engine_selection,
+)
 
 
 class TestScheduling:
@@ -217,3 +225,45 @@ class TestEvery:
     def test_zero_interval_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.every(0.0, lambda: None)
+
+
+# ----------------------------------------------------------------------
+# Engine selection (REPRO_BENCH_ENGINE)
+# ----------------------------------------------------------------------
+
+
+def test_engine_from_env_selects_engine(monkeypatch):
+    monkeypatch.delenv(ENGINE_SELECT_ENV, raising=False)
+    assert engine_from_env(default="fluid") == "fluid"
+    for name in ("scalar", "batched", "fluid"):
+        monkeypatch.setenv(ENGINE_SELECT_ENV, name)
+        assert engine_from_env(default="fluid") == name
+    monkeypatch.setenv(ENGINE_SELECT_ENV, "Batched ")
+    assert engine_from_env(default="fluid") == "batched"
+    monkeypatch.setenv(ENGINE_SELECT_ENV, "turbo")
+    with pytest.raises(ValueError, match="REPRO_BENCH_ENGINE"):
+        engine_from_env(default="fluid")
+
+    assert resolve_engine_selection("scalar") == ("scalar", False)
+    assert resolve_engine_selection("batched") == ("batched", False)
+    assert resolve_engine_selection("fluid") == ("batched", True)
+    with pytest.raises(ValueError, match="engine"):
+        resolve_engine_selection("turbo")
+
+
+def test_support_runner_follows_engine_env_var(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+    try:
+        import _support
+    finally:
+        sys.path.pop(0)
+
+    monkeypatch.setenv(ENGINE_SELECT_ENV, "scalar")
+    sim = _support.run_attack_scenario(duration=5.0, attack=False)
+    assert sim.engine.mode == "scalar" and not sim.engine.fluid
+    monkeypatch.setenv(ENGINE_SELECT_ENV, "fluid")
+    sim = _support.run_attack_scenario(duration=5.0, attack=False)
+    assert sim.engine.mode == "batched" and sim.engine.fluid
+    # An explicit argument wins over the environment.
+    sim = _support.run_attack_scenario(duration=5.0, attack=False, engine="batched")
+    assert sim.engine.mode == "batched" and not sim.engine.fluid

@@ -65,26 +65,13 @@ def test_counters_as_dict_is_name_sorted():
     assert list(c.as_dict()) == ["a", "m", "z"]
 
 
-def test_counters_merge_is_commutative():
-    a, b = Counters(), Counters()
-    a.inc("x", 2)
-    a.inc("y", 1)
-    b.inc("y", 3)
-    b.inc("z", 5)
-    ab, ba = Counters(), Counters()
-    ab.merge(a)
-    ab.merge(b)
-    ba.merge(b)
-    ba.merge(a)
-    assert ab.as_dict() == ba.as_dict() == {"x": 2, "y": 4, "z": 5}
-
-
-def test_counters_merge_accepts_plain_mapping_and_clear():
+def test_counters_clear_resets_the_table():
     c = Counters()
-    c.merge({"a": 1, "b": 2})
-    assert c.as_dict() == {"a": 1, "b": 2}
+    c.inc("a")
+    c.inc("b", 2)
     c.clear()
     assert len(c) == 0
+    assert c.get("a") == 0
 
 
 # ----------------------------------------------------------------------
@@ -119,19 +106,6 @@ def test_timers_negative_interval_clamped_to_zero():
     t.add("p", -3.0)
     assert t.total_s("p") == 0.0
     assert t.count("p") == 1
-
-
-def test_timers_merge_folds_totals_and_counts():
-    a = WallTimers(FakeClock())
-    b = WallTimers(FakeClock())
-    a.add("p", 1.0)
-    b.add("p", 2.0)
-    b.add("q", 0.5)
-    a.merge(b)
-    assert a.as_dict() == {
-        "p": {"total_s": 3.0, "count": 2},
-        "q": {"total_s": 0.5, "count": 1},
-    }
 
 
 def test_timers_unknown_name_defaults_and_clear():

@@ -2,33 +2,25 @@
 
 Where ``test_batched_equivalence.py`` pins a fixed scheme × scenario ×
 seed matrix, this suite searches the input space for counterexamples to
-the three invariants the batched refactor rests on:
+the two invariants the batched refactor rests on:
 
 * **conservation** — no engine mode loses or invents requests: every
   generated request is either finished (in a completion record), still
   in the system, or was dropped with an attributed cause;
 * **cohort sanity** — cohort bookkeeping never goes negative, and an
   aggregate completion record cannot be built from a non-positive
-  count;
-* **power-path equality** — the vectorised power evaluation produces
-  the *same IEEE float64* as the scalar ``power_from_counts`` loop for
-  arbitrary worker counts and DVFS levels (exact ``==``, no tolerance:
-  bit-identity is the contract that lets the rack switch paths freely).
+  count.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataCenterSimulation, SimulationConfig
-from repro.cluster.dvfs import FrequencyLadder
-from repro.cluster.power_model import PowerEvalTable, ServerPowerModel
 from repro.network.request import CompletionRecord, RequestOutcome
 from repro.obs.contract import EXECUTION_COUNTER_NAMES
 from repro.power import BudgetLevel
-from repro.sim.engine import EventEngine
-from repro.workloads import ALL_TYPES, VOLUME_DOS, TrafficClass, uniform_mix
+from repro.workloads import VOLUME_DOS, TrafficClass
 
 # ----------------------------------------------------------------------
 # Conservation + scalar/batched agreement on random scenarios
@@ -39,8 +31,7 @@ def _run_open_loop(seed, rate_rps, num_agents, mode, fluid=False):
     cfg = SimulationConfig(
         budget_level=BudgetLevel.LOW, seed=seed, firewall_poll_s=2.0
     )
-    engine = EventEngine(mode=mode, fluid=fluid)
-    sim = DataCenterSimulation(cfg, engine=engine)
+    sim = DataCenterSimulation(cfg, engine_mode=mode, fluid=fluid)
     sim.add_normal_traffic(rate_rps=25.0)
     sim.add_flood(
         mix=VOLUME_DOS,
@@ -129,65 +120,3 @@ def test_aggregate_record_rejects_nonpositive_counts(count):
             RequestOutcome.DROPPED_FIREWALL,
             12.5,
         )
-
-
-# ----------------------------------------------------------------------
-# Scalar vs vectorised power evaluation: exact float equality
-# ----------------------------------------------------------------------
-
-
-def _fresh_table():
-    model = ServerPowerModel()
-    ladder = FrequencyLadder()
-    table = PowerEvalTable(model, ladder)
-    for rtype in ALL_TYPES:
-        table.slot_of(rtype)
-    return model, ladder, table
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_power_from_counts_matches_vector_evaluation_exactly(data):
-    model, ladder, table = _fresh_table()
-    num_slots = len(table.registry)
-    level = data.draw(
-        st.integers(min_value=0, max_value=ladder.max_level), label="level"
-    )
-    counts = data.draw(
-        st.lists(
-            st.integers(min_value=0, max_value=64),
-            min_size=num_slots,
-            max_size=num_slots,
-        ),
-        label="counts",
-    )
-
-    scalar = model.power_from_counts(
-        counts, table.factor_row(level), table.idle_power_at(level)
-    )
-
-    # The rack's vectorised accumulation for one server: slot-ordered
-    # count*factor terms over the dense matrix, then idle + per-worker
-    # scaling — must be the *same float*, not merely close.
-    factor_matrix = table.factor_matrix()
-    dyn = np.zeros(1)
-    counts_arr = np.asarray(counts, dtype=float).reshape(1, num_slots)
-    levels = np.asarray([level], dtype=np.intp)
-    for i in range(num_slots):
-        dyn += counts_arr[:, i] * factor_matrix[i, levels]
-    vector = float(table.idle_array()[levels][0] + model._per_worker * dyn[0])
-    assert vector == scalar
-
-
-def test_rack_vector_power_matches_scalar_sum_after_traffic():
-    """End-to-end: a populated 20-server rack agrees path for path."""
-    cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=11, num_servers=20)
-    engine = EventEngine(mode="batched")
-    sim = DataCenterSimulation(cfg, engine=engine)
-    sim.add_normal_traffic(rate_rps=80.0, mix=uniform_mix(ALL_TYPES))
-    sim.run(6.0)
-    rack = sim.rack
-    scalar_total = sum(s.current_power() for s in rack.servers)
-    assert rack.total_power_vector() == scalar_total
-    # And the dispatching wrapper picks the vector path at this size.
-    assert rack.total_power() == scalar_total
