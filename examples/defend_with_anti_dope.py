@@ -64,7 +64,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Step 2 — PDF: isolate suspect URLs on one server.
     # ------------------------------------------------------------------
-    pdf = PDFPolicy(suspect_list, sim.rack.servers, suspect_pool_size=1)
+    pdf = PDFPolicy(suspect_list, sim.rack.servers, suspect_pool_size=1, obs=sim.obs)
     sim.nlb.policy = pdf
     print(f"Step 2: PDF installed; suspect pool = servers {pdf.suspect_server_ids}")
 
@@ -102,8 +102,9 @@ def main() -> None:
     # Step 4 — what did legitimate users see?
     # ------------------------------------------------------------------
     stats = sim.latency_stats(traffic_class=TrafficClass.NORMAL, start_s=60.0)
-    print(f"suspect requests forwarded : {pdf.suspect_forwarded}")
-    print(f"innocent requests forwarded: {pdf.innocent_forwarded}")
+    counters = sim.obs.counters
+    print(f"suspect requests forwarded : {counters.get('network.pdf_suspect_forwarded')}")
+    print(f"innocent requests forwarded: {counters.get('network.pdf_innocent_forwarded')}")
     print(f"control slots / violations : {rpm.stats.slots} / {rpm.stats.violations}")
     print(f"peak power                 : {sim.meter.peak_power():.0f} W "
           f"(budget {sim.budget.supply_w:.0f} W)")

@@ -11,9 +11,8 @@ change is exact, not sampled.
 Power is evaluated from *per-type busy-worker counts* against rows of a
 shared :class:`~repro.cluster.power_model.PowerEvalTable`, and the
 resulting watts are cached until the next state change — the same float
-the old per-request iteration produced for a single-type server, and
-the canonical accumulation order (type-slot 0, 1, 2, …) that the
-batched mode's vectorised rack evaluation reproduces bit-for-bit.
+the old per-request iteration produced for a single-type server, in
+the canonical accumulation order (type-slot 0, 1, 2, …).
 
 The server is deliberately policy-free: power managers act on it only
 through :meth:`Server.set_level`, mirroring how RAPL/ACPI expose a

@@ -13,7 +13,10 @@ Anti-DOPE couples the two halves the rest of this package provides:
 :class:`AntiDopeScheme` packages both behind the standard
 :class:`~repro.power.manager.PowerManagementScheme` interface, so it is
 a drop-in peer of Capping/Shaving/Token — "orthogonal to prior power
-management schemes and requires minute system modification".
+management schemes and requires minute system modification".  The
+pool, RPM and queue-cap wiring lives in :class:`SuspectPoolScheme`,
+which the online detector (:mod:`repro.detect.scheme`) shares; Anti-DOPE
+adds only the offline suspect list and PDF.
 """
 
 from __future__ import annotations
@@ -25,24 +28,27 @@ from ..cluster.server import Server
 from ..power.manager import PowerManagementScheme
 from ..workloads.catalog import ALL_TYPES, RequestType
 from .dpm import DPMPlanner
-from .pdf import PDFPolicy
+from .pdf import PDFPolicy, SuspectPoolPolicy
 from .rpm import RequestAwarePowerManager
 from .suspect_list import SuspectList
 
-__all__ = ["AntiDopeScheme"]
+__all__ = ["SuspectPoolScheme", "AntiDopeScheme"]
 
 
-class AntiDopeScheme(PowerManagementScheme):
-    """Request-aware power management (PDF + RPM).
+class SuspectPoolScheme(PowerManagementScheme):
+    """The actuation half every suspect-pool defence shares.
+
+    A forwarding :attr:`policy` isolates suspect requests on a server
+    pool; RPM throttles that pool first every control slot, with the
+    battery as the transition medium.  Subclasses decide what is
+    suspect: they build the policy at bind and hand it to
+    :meth:`_install`, which builds RPM over the policy's pool carve.
 
     Parameters
     ----------
     suspect_pool_size:
         Servers isolated for suspect traffic (default 1, as in the
         paper's 4-node mini rack).
-    suspect_threshold_fraction:
-        Offline-profiling threshold: a URL is suspect when its
-        full-load power reaches this fraction of nameplate.
     use_battery_transition:
         When False, RPM runs without the battery ride-through — the
         ablation arm for the "battery as transition medium" design
@@ -55,12 +61,98 @@ class AntiDopeScheme(PowerManagementScheme):
         unbounded backlog that legitimate heavy requests would have to
         wait behind.  ``None`` leaves the servers' default backlog.
     profiled_types:
+        Request types the classification covers (defaults to the full
+        catalog).
+    hysteresis:
+        DPM raise-guard band.
+    """
+
+    def __init__(
+        self,
+        suspect_pool_size: int = 1,
+        use_battery_transition: bool = True,
+        suspect_queue_factor: Optional[float] = 4.0,
+        profiled_types: Sequence[RequestType] = ALL_TYPES,
+        hysteresis: float = 0.02,
+    ) -> None:
+        super().__init__()
+        check_int("suspect_pool_size", suspect_pool_size, minimum=1)
+        check_fraction("hysteresis", hysteresis)
+        if suspect_queue_factor is not None and suspect_queue_factor < 1.0:
+            raise ValueError(
+                f"suspect_queue_factor must be >= 1, got {suspect_queue_factor}"
+            )
+        self.suspect_pool_size = suspect_pool_size
+        self.use_battery_transition = use_battery_transition
+        self.suspect_queue_factor = suspect_queue_factor
+        self.profiled_types: Tuple[RequestType, ...] = tuple(profiled_types)
+        self.hysteresis = hysteresis
+        self.policy: Optional[SuspectPoolPolicy] = None
+        self.rpm: Optional[RequestAwarePowerManager] = None
+        self._queue_capped = False
+
+    def _install(self, policy: SuspectPoolPolicy) -> None:
+        """Adopt *policy* and build RPM over its pool carve."""
+        self.policy = policy
+        self.rpm = RequestAwarePowerManager(
+            suspect_pool=policy.suspect_pool,
+            innocent_pool=policy.innocent_pool,
+            budget=self.budget,
+            battery=self.battery if self.use_battery_transition else None,
+            planner=DPMPlanner(self.rack.ladder.max_level, self.hysteresis),
+            slot_s=self.slot_s,
+            # RPM plans against the scheme's perceived power so an
+            # attached (possibly faulty) sensor degrades it too.
+            power_reader=self.current_power,
+        )
+
+    def forwarding_policy(self, servers: Sequence[Server]) -> SuspectPoolPolicy:
+        """The suspect-pool policy for the NLB.
+
+        The suspect queues are capped here, not at bind: the facade
+        fetches the policy only after :meth:`bind_topology`, so the
+        short queue lands on the *final* pool carve (a re-carve must not
+        leave a stray capped server behind).
+        """
+        self._require_bound()
+        if self.suspect_queue_factor is not None and not self._queue_capped:
+            for server in self.policy.suspect_pool:
+                cap = int(self.suspect_queue_factor * server.num_workers)
+                server.queue_capacity = min(server.queue_capacity, cap)
+            self._queue_capped = True
+        return self.policy
+
+    def step(self) -> None:
+        """One RPM control slot."""
+        self._require_bound()
+        self.rpm.step(self.engine.now)
+
+    @property
+    def suspect_server_ids(self) -> List[int]:
+        """Rack ids of the isolated suspect pool."""
+        self._require_bound()
+        return self.policy.suspect_server_ids
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        pool = self.suspect_server_ids if self.bound else "?"
+        return f"{type(self).__name__}(suspect_pool={pool})"
+
+
+class AntiDopeScheme(SuspectPoolScheme):
+    """Request-aware power management (PDF + RPM).
+
+    Parameters
+    ----------
+    suspect_threshold_fraction:
+        Offline-profiling threshold: a URL is suspect when its
+        full-load power reaches this fraction of nameplate.
+    profiled_types:
         Request types covered by the offline profile (defaults to the
         full catalog).
     suspect_list:
         Pre-built suspect list; overrides offline profiling entirely.
-    hysteresis:
-        DPM raise-guard band.
+    suspect_pool_size / use_battery_transition / suspect_queue_factor / hysteresis:
+        As in :class:`SuspectPoolScheme`.
     """
 
     name = "anti-dope"
@@ -75,29 +167,19 @@ class AntiDopeScheme(PowerManagementScheme):
         suspect_list: Optional[SuspectList] = None,
         hysteresis: float = 0.02,
     ) -> None:
-        super().__init__()
-        check_int("suspect_pool_size", suspect_pool_size, minimum=1)
+        super().__init__(
+            suspect_pool_size=suspect_pool_size,
+            use_battery_transition=use_battery_transition,
+            suspect_queue_factor=suspect_queue_factor,
+            profiled_types=profiled_types,
+            hysteresis=hysteresis,
+        )
         check_fraction(
             "suspect_threshold_fraction", suspect_threshold_fraction, inclusive=False
         )
-        check_fraction("hysteresis", hysteresis)
-        if suspect_queue_factor is not None and suspect_queue_factor < 1.0:
-            raise ValueError(
-                f"suspect_queue_factor must be >= 1, got {suspect_queue_factor}"
-            )
-        self.suspect_pool_size = suspect_pool_size
         self.suspect_threshold_fraction = suspect_threshold_fraction
-        self.use_battery_transition = use_battery_transition
-        self.suspect_queue_factor = suspect_queue_factor
-        self.profiled_types: Tuple[RequestType, ...] = tuple(profiled_types)
         self.suspect_list = suspect_list
-        self.hysteresis = hysteresis
-        self.pdf: Optional[PDFPolicy] = None
-        self.rpm: Optional[RequestAwarePowerManager] = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def bind(self, engine, rack, budget, battery, slot_s) -> None:
         """Attach infrastructure, build the suspect list, PDF and RPM."""
         super().bind(engine, rack, budget, battery, slot_s)
@@ -107,47 +189,8 @@ class AntiDopeScheme(PowerManagementScheme):
                 rack.power_model,
                 threshold_fraction=self.suspect_threshold_fraction,
             )
-        self.pdf = PDFPolicy(
-            self.suspect_list,
-            rack.servers,
-            self.suspect_pool_size,
-            obs=engine.obs,
+        self._install(
+            PDFPolicy(
+                self.suspect_list, rack.servers, self.suspect_pool_size, obs=engine.obs
+            )
         )
-        if self.suspect_queue_factor is not None:
-            for server in self.pdf.suspect_pool:
-                cap = int(self.suspect_queue_factor * server.num_workers)
-                server.queue_capacity = min(server.queue_capacity, cap)
-        self.rpm = RequestAwarePowerManager(
-            suspect_pool=self.pdf.suspect_pool,
-            innocent_pool=self.pdf.innocent_pool,
-            budget=budget,
-            battery=battery if self.use_battery_transition else None,
-            planner=DPMPlanner(rack.ladder.max_level, self.hysteresis),
-            slot_s=slot_s,
-            # RPM plans against the scheme's perceived power so an
-            # attached (possibly faulty) sensor degrades it too.
-            power_reader=self.current_power,
-        )
-
-    def forwarding_policy(self, servers: Sequence[Server]) -> PDFPolicy:
-        """PDF — the suspect-aware forwarding policy for the NLB."""
-        self._require_bound()
-        return self.pdf
-
-    def step(self) -> None:
-        """One RPM control slot."""
-        self._require_bound()
-        self.rpm.step(self.engine.now)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the isolated suspect pool."""
-        self._require_bound()
-        return self.pdf.suspect_server_ids
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pool = self.suspect_server_ids if self.bound else "?"
-        return f"AntiDopeScheme(suspect_pool={pool})"

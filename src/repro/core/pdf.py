@@ -27,6 +27,7 @@ from .suspect_list import SuspectList
 
 __all__ = [
     "split_pools",
+    "SuspectPoolPolicy",
     "PDFPolicy",
 ]
 
@@ -50,7 +51,63 @@ def split_pools(
     return list(servers[:cut]), list(servers[cut:])
 
 
-class PDFPolicy:
+class SuspectPoolPolicy:
+    """Two-pool forwarding: the isolation half every suspect-pool defence
+    shares.
+
+    Holds the innocent/suspect server carve, one round-robin rotation
+    per pool and the health scan.  Subclasses classify the request in
+    their own ``select`` and name the counter bumped on failover.
+    """
+
+    #: Counter bumped when a whole preferred pool is down (per subclass).
+    failover_counter: str
+
+    def __init__(
+        self,
+        innocent_pool: Sequence[Server],
+        suspect_pool: Sequence[Server],
+        obs: Optional[Recorder] = None,
+    ) -> None:
+        require(len(innocent_pool) > 0, "innocent pool must be non-empty")
+        require(len(suspect_pool) > 0, "suspect pool must be non-empty")
+        self.innocent_pool = list(innocent_pool)
+        self.suspect_pool = list(suspect_pool)
+        self._innocent_rr = RoundRobinPolicy()
+        self._suspect_rr = RoundRobinPolicy()
+        self._counters = (obs if obs is not None else Recorder()).counters
+
+    def _alive(
+        self, preferred: Sequence[Server], fallback: Sequence[Server]
+    ) -> Sequence[Server]:
+        """Healthy members of *preferred*, else failover to *fallback*.
+
+        Crashed servers are skipped; when a pool is entirely dead the
+        request fails over to the other pool's survivors (isolation is
+        worth less than availability), and the NLB's retry path handles
+        a fully-dead rack before the policy ever sees the request.
+        """
+        for server in preferred:
+            if not server.healthy:
+                break
+        else:
+            return preferred
+        alive = [s for s in preferred if s.healthy]
+        if alive:
+            return alive
+        self._counters.inc(self.failover_counter)
+        return [s for s in fallback if s.healthy]
+
+    @property
+    def suspect_server_ids(self) -> List[int]:
+        """Rack ids of the isolated pool (the RPM throttle targets)."""
+        return [s.server_id for s in self.suspect_pool]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(suspect_pool={self.suspect_server_ids})"
+
+
+class PDFPolicy(SuspectPoolPolicy):
     """Suspect-aware forwarding policy.
 
     Parameters
@@ -67,6 +124,8 @@ class PDFPolicy:
         to a private recorder (Anti-DOPE passes the engine's at bind).
     """
 
+    failover_counter = "network.pdf_failover_forwarded"
+
     def __init__(
         self,
         suspect_list: SuspectList,
@@ -74,65 +133,24 @@ class PDFPolicy:
         suspect_pool_size: int = 1,
         obs: Optional[Recorder] = None,
     ) -> None:
+        super().__init__(*split_pools(servers, suspect_pool_size), obs=obs)
         self.suspect_list = suspect_list
         # The list is fixed once built, so the per-request check is one
         # set lookup on the type's URL (the same verdict as
         # ``suspect_list.is_suspect``: unprofiled URLs are innocent).
         self._suspect_urls = frozenset(suspect_list.suspect_urls)
-        self.innocent_pool, self.suspect_pool = split_pools(
-            servers, suspect_pool_size
-        )
-        self._innocent_rr = RoundRobinPolicy()
-        self._suspect_rr = RoundRobinPolicy()
-        self._obs = obs if obs is not None else Recorder()
-        self._counters = self._obs.counters
-        self.suspect_forwarded = 0
-        self.innocent_forwarded = 0
 
     def select(self, request: Request, servers: Sequence[Server]) -> Server:
         """Route by suspect-list classification of the request URL.
 
         The *servers* argument (the NLB's full pool) is ignored in
         favour of the pools fixed at construction: the carve-out must
-        stay consistent with the power manager's view.  Crashed servers
-        are skipped; when a pool is entirely dead the request fails over
-        to the other pool's survivors (isolation is worth less than
-        availability), and the NLB's retry path handles a fully-dead
-        rack before this policy ever sees the request.
+        stay consistent with the power manager's view.
         """
         if request.rtype.url in self._suspect_urls:
             pool = self._alive(self.suspect_pool, self.innocent_pool)
-            self.suspect_forwarded += 1
             self._counters.inc("network.pdf_suspect_forwarded")
             return self._suspect_rr.select(request, pool)
         pool = self._alive(self.innocent_pool, self.suspect_pool)
-        self.innocent_forwarded += 1
         self._counters.inc("network.pdf_innocent_forwarded")
         return self._innocent_rr.select(request, pool)
-
-    def _alive(
-        self, preferred: Sequence[Server], fallback: Sequence[Server]
-    ) -> Sequence[Server]:
-        """Healthy members of *preferred*, else failover to *fallback*."""
-        for server in preferred:
-            if not server.healthy:
-                break
-        else:
-            return preferred
-        alive = [s for s in preferred if s.healthy]
-        if alive:
-            return alive
-        self._counters.inc("network.pdf_failover_forwarded")
-        return [s for s in fallback if s.healthy]
-
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the isolated pool (the DPM throttle targets)."""
-        return [s.server_id for s in self.suspect_pool]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PDFPolicy(suspect_pool={self.suspect_server_ids}, "
-            f"suspect_fwd={self.suspect_forwarded}, "
-            f"innocent_fwd={self.innocent_forwarded})"
-        )

@@ -27,17 +27,14 @@ cannot concentrate whole-row power behind a single PDU.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence
 
-from .._validation import check_fraction, check_int, check_positive, require
+from .._validation import check_positive, require
 from ..cluster.server import Server
-from ..core.dpm import DPMPlanner
-from ..core.pdf import split_pools
-from ..core.rpm import RequestAwarePowerManager
-from ..network.load_balancer import RoundRobinPolicy
+from ..core.anti_dope import SuspectPoolScheme
+from ..core.pdf import SuspectPoolPolicy, split_pools
 from ..network.request import Request, RequestOutcome
 from ..obs import Recorder
-from ..power.manager import PowerManagementScheme
 from ..workloads.catalog import ALL_TYPES, RequestType
 from .features import StreamingFeatureExtractor
 from .model import OnlineAnomalyModel
@@ -48,7 +45,7 @@ __all__ = ["DynamicSuspectPolicy", "OnlineDetectScheme", "PLACEMENTS"]
 PLACEMENTS = ("dc", "row")
 
 
-class DynamicSuspectPolicy:
+class DynamicSuspectPolicy(SuspectPoolPolicy):
     """Source-keyed forwarding over a live suspect set.
 
     The shape of :class:`~repro.core.pdf.PDFPolicy` with two changes:
@@ -59,6 +56,8 @@ class DynamicSuspectPolicy:
     engine execution mode.
     """
 
+    failover_counter = "detect.failover_forwarded"
+
     def __init__(
         self,
         extractor: StreamingFeatureExtractor,
@@ -67,19 +66,10 @@ class DynamicSuspectPolicy:
         now,
         obs: Optional[Recorder] = None,
     ) -> None:
-        require(len(innocent_pool) > 0, "innocent pool must be non-empty")
-        require(len(suspect_pool) > 0, "suspect pool must be non-empty")
+        super().__init__(innocent_pool, suspect_pool, obs=obs)
         self.extractor = extractor
-        self.innocent_pool = list(innocent_pool)
-        self.suspect_pool = list(suspect_pool)
         self.suspect_sources: FrozenSet[int] = frozenset()
         self._now = now
-        self._innocent_rr = RoundRobinPolicy()
-        self._suspect_rr = RoundRobinPolicy()
-        self._obs = obs if obs is not None else Recorder()
-        self._counters = self._obs.counters
-        self.suspect_forwarded = 0
-        self.innocent_forwarded = 0
 
     def set_suspects(self, sources: FrozenSet[int]) -> None:
         """Replace the quarantined source set (scheme-driven, per slot)."""
@@ -89,8 +79,7 @@ class DynamicSuspectPolicy:
         """Tap the arrival, then route by live source classification.
 
         Like PDF, the NLB's *servers* argument is ignored in favour of
-        the pools fixed at construction, crashed servers are skipped,
-        and a fully-dead pool fails over to the other pool's survivors.
+        the pools fixed at construction.
         """
         counters = self._counters
         self.extractor.observe_arrival(
@@ -99,42 +88,14 @@ class DynamicSuspectPolicy:
         counters.inc("detect.arrivals_observed")
         if request.source_id in self.suspect_sources:
             pool = self._alive(self.suspect_pool, self.innocent_pool)
-            self.suspect_forwarded += 1
             counters.inc("detect.suspect_forwarded")
             return self._suspect_rr.select(request, pool)
         pool = self._alive(self.innocent_pool, self.suspect_pool)
-        self.innocent_forwarded += 1
         counters.inc("detect.innocent_forwarded")
         return self._innocent_rr.select(request, pool)
 
-    def _alive(
-        self, preferred: Sequence[Server], fallback: Sequence[Server]
-    ) -> Sequence[Server]:
-        for server in preferred:
-            if not server.healthy:
-                break
-        else:
-            return preferred
-        alive = [s for s in preferred if s.healthy]
-        if alive:
-            return alive
-        self._counters.inc("detect.failover_forwarded")
-        return [s for s in fallback if s.healthy]
 
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the quarantine pool (the RPM throttle targets)."""
-        return [s.server_id for s in self.suspect_pool]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DynamicSuspectPolicy(suspect_servers={self.suspect_server_ids}, "
-            f"suspect_sources={len(self.suspect_sources)}, "
-            f"suspect_fwd={self.suspect_forwarded})"
-        )
-
-
-class OnlineDetectScheme(PowerManagementScheme):
+class OnlineDetectScheme(SuspectPoolScheme):
     """Streaming detection + differentiated power management.
 
     Parameters
@@ -153,8 +114,8 @@ class OnlineDetectScheme(PowerManagementScheme):
         quarantine server per row of the bound power tree; falls back
         to ``"dc"`` in the flat model, which has no rows).
     use_battery_transition / suspect_queue_factor / hysteresis:
-        As in :class:`~repro.core.anti_dope.AntiDopeScheme` — the RPM
-        half is shared machinery.
+        As in :class:`~repro.core.anti_dope.SuspectPoolScheme` — the
+        pool and RPM half is shared machinery.
     profiled_types:
         Type universe of the entropy feature and energy attribution.
     """
@@ -174,33 +135,25 @@ class OnlineDetectScheme(PowerManagementScheme):
         hysteresis: float = 0.02,
         profiled_types: Sequence[RequestType] = ALL_TYPES,
     ) -> None:
-        super().__init__()
-        check_int("suspect_pool_size", suspect_pool_size, minimum=1)
+        super().__init__(
+            suspect_pool_size=suspect_pool_size,
+            use_battery_transition=use_battery_transition,
+            suspect_queue_factor=suspect_queue_factor,
+            profiled_types=profiled_types,
+            hysteresis=hysteresis,
+        )
         check_positive("tau_s", tau_s)
-        check_fraction("hysteresis", hysteresis)
         require(
             placement in PLACEMENTS,
             f"placement must be one of {PLACEMENTS}, got {placement!r}",
         )
-        if suspect_queue_factor is not None and suspect_queue_factor < 1.0:
-            raise ValueError(
-                f"suspect_queue_factor must be >= 1, got {suspect_queue_factor}"
-            )
-        self.suspect_pool_size = suspect_pool_size
         self.tau_s = float(tau_s)
         self.warmup_observations = warmup_observations
         self.enter_threshold = float(enter_threshold)
         self.exit_threshold = float(exit_threshold)
         self.placement = placement
-        self.use_battery_transition = use_battery_transition
-        self.suspect_queue_factor = suspect_queue_factor
-        self.dpm_hysteresis = hysteresis
-        self.profiled_types = tuple(profiled_types)
         self.extractor: Optional[StreamingFeatureExtractor] = None
         self.model: Optional[OnlineAnomalyModel] = None
-        self.policy: Optional[DynamicSuspectPolicy] = None
-        self.rpm: Optional[RequestAwarePowerManager] = None
-        self._queue_capped = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -223,8 +176,7 @@ class OnlineDetectScheme(PowerManagementScheme):
             enter_threshold=self.enter_threshold,
             exit_threshold=self.exit_threshold,
         )
-        innocent, suspect = split_pools(rack.servers, self.suspect_pool_size)
-        self._build_pools(innocent, suspect)
+        self._build_pools(*split_pools(rack.servers, self.suspect_pool_size))
         for server in rack.servers:
             server.completion_sink = self._tee_completion(
                 server.completion_sink
@@ -268,23 +220,14 @@ class OnlineDetectScheme(PowerManagementScheme):
         final carve.
         """
         clock = self.engine.clock
-        self.policy = DynamicSuspectPolicy(
-            self.extractor,
-            innocent,
-            suspect,
-            now=lambda: clock._now,  # read per arrival: skip the property
-            obs=self.engine.obs,
-        )
-        self.rpm = RequestAwarePowerManager(
-            suspect_pool=self.policy.suspect_pool,
-            innocent_pool=self.policy.innocent_pool,
-            budget=self.budget,
-            battery=self.battery if self.use_battery_transition else None,
-            planner=DPMPlanner(self.rack.ladder.max_level, self.dpm_hysteresis),
-            slot_s=self.slot_s,
-            # Plan against perceived power so an attached (possibly
-            # faulty) sensor degrades the controller too.
-            power_reader=self.current_power,
+        self._install(
+            DynamicSuspectPolicy(
+                self.extractor,
+                innocent,
+                suspect,
+                now=lambda: clock._now,  # read per arrival: skip the property
+                obs=self.engine.obs,
+            )
         )
 
     def _tee_completion(self, original):
@@ -305,22 +248,6 @@ class OnlineDetectScheme(PowerManagementScheme):
                 original(request, outcome, now)
 
         return tee
-
-    def forwarding_policy(self, servers: Sequence[Server]) -> DynamicSuspectPolicy:
-        """The dynamic suspect policy for the NLB.
-
-        Queue capping happens here, not in :meth:`bind`: the facade
-        fetches the policy only after :meth:`bind_topology`, so the
-        short quarantine queue lands on the *final* pool carve (a
-        ``"row"`` re-carve must not leave a stray capped server behind).
-        """
-        self._require_bound()
-        if self.suspect_queue_factor is not None and not self._queue_capped:
-            for server in self.policy.suspect_pool:
-                cap = int(self.suspect_queue_factor * server.num_workers)
-                server.queue_capacity = min(server.queue_capacity, cap)
-            self._queue_capped = True
-        return self.policy
 
     # ------------------------------------------------------------------
     # Control slot
@@ -348,7 +275,7 @@ class OnlineDetectScheme(PowerManagementScheme):
         if not self.model.warmed_up:
             counters.inc("detect.warmup_slots")
         self.policy.set_suspects(frozenset(suspects))
-        self.rpm.step(now)
+        super().step()
 
     def _calibrate(self, counters) -> None:
         """Derive the power-attribution gain from the sensing path.
@@ -375,17 +302,6 @@ class OnlineDetectScheme(PowerManagementScheme):
         self._require_bound()
         return self.policy.suspect_sources
 
-    @property
-    def suspect_server_ids(self) -> List[int]:
-        """Rack ids of the quarantine server pool."""
-        self._require_bound()
-        return self.policy.suspect_server_ids
-
-    def source_scores(self) -> Dict[int, float]:
-        """Last anomaly score per source (detector audit trail)."""
-        self._require_bound()
-        return dict(sorted(self.model.last_scores.items()))
-
     def report(self) -> Dict[str, object]:
         """JSON-ready detector state (see ``analysis.export``)."""
         self._require_bound()
@@ -403,12 +319,3 @@ class OnlineDetectScheme(PowerManagementScheme):
             "calibration_gain": self.extractor.calibration_gain,
             "model": self.model.fingerprint(),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.bound:
-            return "OnlineDetectScheme(unbound)"
-        return (
-            f"OnlineDetectScheme(placement={self.placement!r}, "
-            f"suspect_servers={self.suspect_server_ids}, "
-            f"quarantined={len(self.policy.suspect_sources)})"
-        )

@@ -19,10 +19,10 @@ source and an explicit poll event driven by the simulation engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Optional, Set
 
-from .._validation import check_int, check_positive
+from .._validation import check_positive
 from ..sim.engine import EventEngine
 from ..sim.events import PRIORITY_MONITOR
 
@@ -35,21 +35,13 @@ __all__ = [
 
 @dataclass
 class FirewallStats:
-    """Counters exposed for analysis and the Fig. 10/11 benches.
-
-    ``bans`` is the exact lifetime total; ``banned_history`` keeps only
-    the most recent ``(time_s, source_id)`` ban events up to the
-    firewall's ``history_cap`` — on a multi-hour run the event list
-    would otherwise grow without bound while the totals already carry
-    every number the reports use.
-    """
+    """Counters exposed for analysis and the Fig. 10/11 benches."""
 
     polls: int = 0
     admitted: int = 0
     rejected: int = 0
     bans: int = 0
     first_detection_time_s: Optional[float] = None
-    banned_history: List[tuple] = field(default_factory=list)
 
 
 class RateLimitFirewall:
@@ -65,9 +57,6 @@ class RateLimitFirewall:
         first poll are never examined — the "initiating delay".
     ban_duration_s:
         How long a banned source stays blocked (deflate default 600 s).
-    history_cap:
-        Maximum ban events retained in ``stats.banned_history`` (the
-        oldest are discarded first); ``stats.bans`` stays exact.
     """
 
     def __init__(
@@ -75,16 +64,13 @@ class RateLimitFirewall:
         threshold_rps: float = 150.0,
         poll_interval_s: float = 10.0,
         ban_duration_s: float = 600.0,
-        history_cap: int = 1024,
     ) -> None:
         check_positive("threshold_rps", threshold_rps)
         check_positive("poll_interval_s", poll_interval_s)
         check_positive("ban_duration_s", ban_duration_s)
-        check_int("history_cap", history_cap, minimum=0)
         self.threshold_rps = float(threshold_rps)
         self.poll_interval_s = float(poll_interval_s)
         self.ban_duration_s = float(ban_duration_s)
-        self.history_cap = history_cap
         self._window_counts: Dict[int, int] = {}
         self._banned_until: Dict[int, float] = {}
         self.stats = FirewallStats()
@@ -134,16 +120,12 @@ class RateLimitFirewall:
         t = self._now()
         self.stats.polls += 1
         limit = self.threshold_rps * self.poll_interval_s
-        history = self.stats.banned_history
         for source_id, count in self._window_counts.items():
             if count > limit:
                 self._banned_until[source_id] = t + self.ban_duration_s
                 self.stats.bans += 1
-                history.append((t, source_id))
                 if self.stats.first_detection_time_s is None:
                     self.stats.first_detection_time_s = t
-        if len(history) > self.history_cap:
-            del history[: len(history) - self.history_cap]
         self._window_counts.clear()
 
     # ------------------------------------------------------------------

@@ -34,14 +34,11 @@ class CappingScheme(UniformCappingMixin, PowerManagementScheme):
         if not 0.0 <= hysteresis < 0.5:
             raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
         self.hysteresis = hysteresis
-        #: Per-slot record of (time, level) control decisions.
-        self.decisions = []
 
     def step(self) -> None:
         """Throttle (or recover) every server to fit the budget."""
         self._require_bound()
-        level = self.apply_uniform_cap(self.budget.supply_w)
-        self.decisions.append((self.engine.now, level))
+        self.apply_uniform_cap(self.budget.supply_w)
 
 
 class LocalCappingScheme(PowerManagementScheme):
@@ -66,14 +63,12 @@ class LocalCappingScheme(PowerManagementScheme):
         if not 0.0 <= hysteresis < 0.5:
             raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
         self.hysteresis = hysteresis
-        self.decisions = []
 
     def step(self) -> None:
         """Each server independently fits under its static share."""
         self._require_bound()
         share = self.budget.supply_w / self.rack.num_servers
         guard = share * (1.0 - self.hysteresis)
-        levels = []
         for server in self.rack.servers:
             ladder = server.ladder
             target = 0
@@ -86,5 +81,3 @@ class LocalCappingScheme(PowerManagementScheme):
                     target = level
                     break
             server.set_level(target)
-            levels.append(target)
-        self.decisions.append((self.engine.now, tuple(levels)))

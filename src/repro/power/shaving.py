@@ -11,7 +11,6 @@ scheme degenerates into Capping with a delay.
 
 from __future__ import annotations
 
-from .._validation import check_int
 from .manager import PowerManagementScheme, UniformCappingMixin
 
 __all__ = ["ShavingScheme"]
@@ -38,12 +37,6 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         nodes" and the steep exhaustion in Fig. 18.  When False, the
         battery supplies only the deficit above the budget (partial
         sourcing, as in virtualised power architectures).
-    max_decisions:
-        Maximum per-slot decision tuples retained in ``decisions`` (the
-        oldest are discarded first) — a multi-hour run would otherwise
-        grow the trace without bound while the exact slot totals
-        already live in the ``power.control_slots`` /
-        ``power.battery_discharge_slots`` counters.
     """
 
     name = "shaving"
@@ -54,7 +47,6 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         soc_reserve: float = 0.05,
         hysteresis: float = 0.02,
         full_carry: bool = True,
-        max_decisions: int = 1024,
     ) -> None:
         super().__init__()
         if not 0.0 <= recharge_headroom_fraction <= 1.0:
@@ -66,15 +58,10 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
             raise ValueError(f"soc_reserve must be in [0, 1), got {soc_reserve}")
         if not 0.0 <= hysteresis < 0.5:
             raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
-        check_int("max_decisions", max_decisions, minimum=0)
         self.recharge_headroom_fraction = recharge_headroom_fraction
         self.soc_reserve = soc_reserve
         self.hysteresis = hysteresis
         self.full_carry = full_carry
-        self.max_decisions = max_decisions
-        #: Per-slot (time, deficit_w, battery_w, dvfs_level) decisions —
-        #: a bounded trace of the most recent ``max_decisions`` slots.
-        self.decisions = []
 
     def bind(self, engine, rack, budget, battery, slot_s) -> None:
         """Attach infrastructure; Shaving additionally requires a battery."""
@@ -88,8 +75,6 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         battery = self.battery
         power_w = self.current_power()
         deficit = self.budget.deficit(power_w)
-        level = self.rack.ladder.max_level
-        battery_w = 0.0
         if deficit > 0:
             usable_soc = max(0.0, battery.soc_fraction - self.soc_reserve)
             usable_j = usable_soc * battery.capacity_j
@@ -99,7 +84,7 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
             # mode the battery supplies only the excess over the budget.
             demand_w = power_w if self.full_carry else deficit
             if available_w >= demand_w:
-                battery_w = battery.discharge(demand_w, self.slot_s)
+                battery.discharge(demand_w, self.slot_s)
                 # Peak fully shaved: make sure servers run at nominal.
                 self.rack.set_all_levels(self.rack.ladder.max_level)
             else:
@@ -107,20 +92,16 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
                 # cap the rest with DVFS, exactly "trigger DVFS only if
                 # the UPS runs out of energy".
                 topup_w = battery.discharge(min(available_w, deficit), self.slot_s)
-                battery_w = topup_w
-                level = self.apply_uniform_cap(self.budget.supply_w + topup_w)
+                self.apply_uniform_cap(self.budget.supply_w + topup_w)
         else:
             # Recover performance first, then offer the battery only the
             # headroom that remains *after* the DVFS raise.  Charging
             # against the pre-raise (possibly deeply throttled) power
             # reading would commit a grid draw that, added to the raised
             # rack power, pushes the slot over budget.
-            level = self.apply_uniform_cap(self.budget.supply_w)
+            self.apply_uniform_cap(self.budget.supply_w)
             headroom = max(0.0, self.budget.headroom(self.current_power()))
             charge_w = min(
                 headroom * self.recharge_headroom_fraction, headroom
             )
             battery.charge(charge_w, self.slot_s)
-        self.decisions.append((self.engine.now, deficit, battery_w, level))
-        if len(self.decisions) > self.max_decisions:
-            del self.decisions[: len(self.decisions) - self.max_decisions]

@@ -25,6 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["SimulationConfig"]
 
+#: Fields added after the first config version.  Each serialises only
+#: when it differs from its declared default, so configs from before it
+#: hash identically (what keeps ``--topology flat`` byte-identical to
+#: pre-tree runs and cached experiment ids valid).
+_LATE_FIELDS = ("topology", "detect_placement", "prediction_horizon_s")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -168,21 +174,12 @@ class SimulationConfig:
         """JSON-ready dict; the budget level serialises as its name."""
         out = asdict(self)
         out["budget_level"] = self.budget_level.name
-        if self.topology == "flat":
-            # The flat default serialises without the key: configs from
-            # before the topology layer hash identically, which is what
-            # keeps `--topology flat` byte-identical to pre-tree runs.
-            del out["topology"]
-        if self.detect_placement == "dc":
-            # Same delete-at-default contract: pre-detector configs and
-            # cached experiment ids keep their identity.
-            del out["detect_placement"]
-        # Same delete-at-default contract for the predictor horizon.
-        # Exact match only: a horizon merely close to 60 s is a different
-        # config and must keep its key, or it would share the default's
-        # hash and round-trip back to 60.0.
-        if self.prediction_horizon_s == 60.0:  # repro: ignore[REP002] — identity, not a measurement
-            del out["prediction_horizon_s"]
+        for name in _LATE_FIELDS:
+            # Exact match only: a value merely close to the default is a
+            # different config and must keep its key, or it would share
+            # the default's hash and round-trip back to the default.
+            if out[name] == self.__dataclass_fields__[name].default:
+                del out[name]
         return out
 
     @classmethod

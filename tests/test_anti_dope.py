@@ -1,14 +1,65 @@
-"""Unit tests for the assembled Anti-DOPE scheme."""
+"""Unit tests for the assembled Anti-DOPE scheme and the suspect-pool
+behaviour it shares with online-detect."""
 
 import pytest
 
-from repro import AntiDopeScheme, BudgetLevel, DataCenterSimulation, SimulationConfig
+from repro import (
+    AntiDopeScheme,
+    BudgetLevel,
+    DataCenterSimulation,
+    OnlineDetectScheme,
+    SimulationConfig,
+)
 from repro.core import SuspectList
 from repro.power import PowerBudget
 from repro.workloads import ALL_TYPES, COLLA_FILT, TEXT_CONT, uniform_mix
 
 
-class TestBinding:
+class SharedBinding:
+    """Suspect-pool behaviour every suspect-pool scheme shares.
+
+    Each subclass names its scheme in ``make``.  Schemes are bound the
+    way the simulation facade binds them: ``bind()``, then
+    ``forwarding_policy()``.
+    """
+
+    make = None
+
+    def bound(self, engine, rack, battery=None, **options):
+        scheme = self.make(**options)
+        scheme.bind(engine, rack, PowerBudget(320.0), battery, 1.0)
+        return scheme, scheme.forwarding_policy(rack.servers)
+
+    def test_suspect_queue_regulation_applied(self, engine, rack):
+        _, policy = self.bound(engine, rack, suspect_queue_factor=3.0)
+        suspect = policy.suspect_pool[0]
+        assert suspect.queue_capacity == 3 * suspect.num_workers
+        for innocent in policy.innocent_pool:
+            assert innocent.queue_capacity == 512
+
+    def test_queue_regulation_disabled_with_none(self, engine, rack):
+        _, policy = self.bound(engine, rack, suspect_queue_factor=None)
+        assert policy.suspect_pool[0].queue_capacity == 512
+
+    def test_battery_ablation_arm(self, engine, rack):
+        from repro.power import Battery
+
+        battery = Battery.for_rack(400.0)
+        scheme, _ = self.bound(engine, rack, battery, use_battery_transition=False)
+        assert scheme.rpm.battery is None
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            self.make(suspect_pool_size=0)
+        with pytest.raises(ValueError):
+            self.make(suspect_queue_factor=0.5)
+        with pytest.raises(ValueError):
+            self.make(hysteresis=1.5)
+
+
+class TestBinding(SharedBinding):
+    make = AntiDopeScheme
+
     def test_builds_suspect_list_from_model(self, engine, rack):
         scheme = AntiDopeScheme()
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
@@ -25,7 +76,7 @@ class TestBinding:
         scheme = AntiDopeScheme(suspect_pool_size=2)
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
         policy = scheme.forwarding_policy(rack.servers)
-        assert policy is scheme.pdf
+        assert policy is scheme.policy
         assert scheme.suspect_server_ids == [2, 3]
 
     def test_no_admission_filter(self, engine, rack):
@@ -33,38 +84,18 @@ class TestBinding:
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
         assert scheme.admission_filter() is None
 
-    def test_suspect_queue_regulation_applied(self, engine, rack):
-        scheme = AntiDopeScheme(suspect_queue_factor=3.0)
-        scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
-        suspect = scheme.pdf.suspect_pool[0]
-        assert suspect.queue_capacity == 3 * suspect.num_workers
-        for innocent in scheme.pdf.innocent_pool:
-            assert innocent.queue_capacity == 512
-
-    def test_queue_regulation_disabled_with_none(self, engine, rack):
-        scheme = AntiDopeScheme(suspect_queue_factor=None)
-        scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
-        assert scheme.pdf.suspect_pool[0].queue_capacity == 512
-
-    def test_battery_ablation_arm(self, engine, rack):
-        from repro.power import Battery
-
-        battery = Battery.for_rack(400.0)
-        scheme = AntiDopeScheme(use_battery_transition=False)
-        scheme.bind(engine, rack, PowerBudget(320.0), battery, 1.0)
-        assert scheme.rpm.battery is None
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AntiDopeScheme(suspect_pool_size=0)
-        with pytest.raises(ValueError):
-            AntiDopeScheme(suspect_queue_factor=0.5)
+        super().test_validation()
         with pytest.raises(ValueError):
             AntiDopeScheme(suspect_threshold_fraction=1.0)
 
     def test_step_before_bind_rejected(self):
         with pytest.raises(RuntimeError):
             AntiDopeScheme().step()
+
+
+class TestOnlineDetectBinding(SharedBinding):
+    make = OnlineDetectScheme
 
 
 class TestEndToEnd:

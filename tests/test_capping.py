@@ -79,12 +79,6 @@ class TestCappingStep:
         scheme.step()
         assert rack.levels() == [0] * 4
 
-    def test_decision_log(self, engine, rack):
-        scheme = bind(CappingScheme(), engine, rack, supply_w=320.0)
-        scheme.step()
-        scheme.step()
-        assert len(scheme.decisions) == 2
-
 
 class TestHysteresis:
     def test_no_chatter_at_boundary(self, engine, rack, collector):

@@ -2,11 +2,11 @@
 
 The pinned dev container has no ``actionlint``, so this suite is the
 schema check keeping the workflow honest: it must parse as YAML, define
-the five jobs the repo's CI contract names (lint, test matrix,
-golden equivalence, topology equivalence, perfbench smoke), run the *same*
-gate script a developer runs locally, cover the supported Python matrix
-with pip caching keyed on both packaging manifests, and cancel
-superseded runs of the same ref.
+the six jobs the repo's CI contract names (lint, test matrix, golden
+equivalence, topology equivalence, paper benches, perfbench smoke), run
+the *same* gate script a developer runs locally, cover the supported
+Python matrix with pip caching keyed on both packaging manifests, and
+cancel superseded runs of the same ref.
 """
 
 from pathlib import Path
@@ -45,12 +45,13 @@ def test_workflow_cancels_superseded_runs(workflow):
     assert concurrency["cancel-in-progress"] is True
 
 
-def test_workflow_defines_the_five_contract_jobs(workflow):
+def test_workflow_defines_the_six_contract_jobs(workflow):
     assert set(workflow["jobs"]) == {
         "lint",
         "test",
         "equivalence",
         "topology-equivalence",
+        "paper-benches",
         "perfbench-smoke",
     }
 
@@ -147,6 +148,14 @@ def test_topology_equivalence_job_runs_suite_and_tree_cross_check(workflow):
     assert runs.count("--topology tree-small") == 2
     assert runs.count("--workers 2") == 2
     assert "diff sweep_tree_scalar.txt sweep_tree_batched.txt" in runs
+
+
+def test_paper_benches_job_runs_the_figure_and_table_benches(workflow):
+    job = workflow["jobs"]["paper-benches"]
+    runs = _run_lines(job)
+    # The benches need pytest-benchmark and scipy from the dev extras.
+    assert '-e ".[dev]"' in runs
+    assert "python -m pytest benchmarks -q --benchmark-disable" in runs
 
 
 def test_perfbench_smoke_job_runs_one_round_and_fails_on_failed_runs(workflow):

@@ -71,3 +71,27 @@ class TestSerialisation:
         assert data["prediction_horizon_s"] == near.prediction_horizon_s
         assert SimulationConfig.from_dict(data) == near
         assert config_hash(data) != config_hash(SimulationConfig().to_dict())
+
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            pytest.param(
+                "topology", SimulationConfig.for_topology("tree-small"), id="topology"
+            ),
+            pytest.param(
+                "detect_placement",
+                SimulationConfig(detect_placement="row"),
+                id="detect_placement",
+            ),
+            pytest.param(
+                "prediction_horizon_s",
+                SimulationConfig(prediction_horizon_s=30.0),
+                id="prediction_horizon_s",
+            ),
+        ],
+    )
+    def test_late_field_written_only_off_its_default(self, name, cfg):
+        assert name not in SimulationConfig().to_dict()
+        data = cfg.to_dict()
+        assert data[name] == getattr(cfg, name)
+        assert SimulationConfig.from_dict(data) == cfg

@@ -137,40 +137,3 @@ class TestNullFirewall:
         engine.run(until=100.0)
         assert fw.stats.bans == 0
         assert fw.stats.admitted == 10000
-
-
-class TestHistoryBound:
-    def test_banned_history_bounded_on_long_runs(self):
-        """A multi-hour run of continuous bans holds the ban-event trace
-        at ``history_cap`` entries while ``stats.bans`` stays exact."""
-        fw = RateLimitFirewall(
-            threshold_rps=1.0,
-            poll_interval_s=1.0,
-            ban_duration_s=0.5,
-            history_cap=16,
-        )
-        for i in range(5000):
-            t = float(i)
-            fw._now = lambda now=t: now
-            fw.admit(i, now=t)
-            fw.admit(i, now=t)  # 2 req/s > threshold: banned at the poll
-            fw.poll()
-        assert fw.stats.bans == 5000
-        assert len(fw.stats.banned_history) == 16
-        # The retained events are the most recent ones.
-        assert fw.stats.banned_history[-1][1] == 4999
-        assert fw.stats.banned_history[0][1] == 4984
-
-    def test_zero_cap_keeps_no_history(self):
-        fw = RateLimitFirewall(
-            threshold_rps=1.0, poll_interval_s=1.0, history_cap=0
-        )
-        fw.admit(1, now=0.0)
-        fw.admit(1, now=0.0)
-        fw.poll()
-        assert fw.stats.bans == 1
-        assert fw.stats.banned_history == []
-
-    def test_cap_validated(self):
-        with pytest.raises(ValueError):
-            RateLimitFirewall(history_cap=-1)

@@ -91,9 +91,8 @@ class TestFlashCrowd:
             duration_s=60.0,
         )
         sim.run(80.0)
-        pdf = sim.scheme.pdf
         # The surge went to the suspect pool.
-        assert pdf.suspect_forwarded > 1000
+        assert sim.obs.counters.get("network.pdf_suspect_forwarded") > 1000
 
     def test_validation(self):
         sim = DataCenterSimulation(SimulationConfig(seed=1))

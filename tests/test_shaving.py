@@ -134,26 +134,3 @@ class TestValidation:
             ShavingScheme(recharge_headroom_fraction=1.5)
         with pytest.raises(ValueError):
             ShavingScheme(soc_reserve=1.0)
-
-
-class TestDecisionTraceBound:
-    def test_decision_trace_bounded_on_long_runs(self):
-        """Hours of control slots hold the per-slot decision trace at
-        ``max_decisions`` entries; the slot totals stay in counters."""
-        from repro import BudgetLevel, DataCenterSimulation, SimulationConfig
-
-        sim = DataCenterSimulation(
-            SimulationConfig(budget_level=BudgetLevel.LOW, seed=1),
-            scheme=ShavingScheme(max_decisions=32),
-        )
-        sim.add_normal_traffic(rate_rps=20.0)
-        sim.run(300.0)
-        assert len(sim.scheme.decisions) == 32
-        counters = sim.obs.counters.as_dict()
-        assert counters["power.control_slots"] >= 300
-        # The retained tuples are the most recent slots.
-        assert sim.scheme.decisions[-1][0] == pytest.approx(300.0)
-
-    def test_cap_validated(self):
-        with pytest.raises(ValueError):
-            ShavingScheme(max_decisions=-1)

@@ -35,7 +35,7 @@ class TestConstruction:
 
     def test_scheme_policy_installed(self):
         sim = DataCenterSimulation(scheme=AntiDopeScheme())
-        assert sim.nlb.policy is sim.scheme.pdf
+        assert sim.nlb.policy is sim.scheme.policy
 
     def test_token_filter_installed(self):
         sim = DataCenterSimulation(scheme=TokenScheme())
@@ -71,7 +71,7 @@ class TestRunning:
     def test_scheme_stepped_every_slot(self):
         sim = DataCenterSimulation(scheme=CappingScheme())
         sim.run(10.0)
-        assert len(sim.scheme.decisions) == 10
+        assert sim.obs.counters.get("power.control_slots") == 10
 
     def test_normal_traffic_flows(self):
         sim = DataCenterSimulation()
