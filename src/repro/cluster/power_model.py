@@ -210,6 +210,17 @@ class PowerEvalTable:
     one float per registered type slot, materialised lazily per ladder
     level.  The cached values are exactly the floats the uncached calls
     would produce, so swapping the table in changes no result.
+
+    The table also memoises whole-server watts per level
+    (:meth:`watts_memo`): a dict from a packed busy-count code to the
+    float :meth:`ServerPowerModel.power_from_counts` returned for that
+    count vector at that level.  A vector packs to
+    ``Σ counts[slot] · (W + 1) ** slot`` (``W`` the worker count, so
+    every count is a base-``W + 1`` digit and the code is unique).  Two
+    vectors that differ only by trailing zero slots pack to one code
+    and evaluate to one float, because ``x + 0 * f == x``; rows never
+    change once grown, so an entry never goes stale.  The memo holds at
+    most ``levels × C(W + T, T)`` entries for ``T`` type slots.
     """
 
     __slots__ = (
@@ -219,6 +230,7 @@ class PowerEvalTable:
         "_factor_rows",
         "_speedup_rows",
         "_idle_by_level",
+        "_watts_by_level",
     )
 
     def __init__(
@@ -236,6 +248,9 @@ class PowerEvalTable:
             model.idle_power(ladder.ratio(level))
             for level in range(ladder.max_level + 1)
         ]
+        self._watts_by_level: List[Dict[int, float]] = [
+            {} for _ in self._idle_by_level
+        ]
 
     def slot_of(self, rtype: RequestType) -> int:
         """Delegate to the shared registry."""
@@ -243,10 +258,21 @@ class PowerEvalTable:
 
     def idle_power_at(self, level: int) -> float:
         """Idle floor (watts) at ladder *level*."""
+        self.ladder._check_level(level)
         return self._idle_by_level[level]
+
+    def watts_memo(self, level: int) -> Dict[int, float]:
+        """Packed busy-count code → server watts at *level* (shared, mutable).
+
+        Servers fill it on a miss with the float ``power_from_counts``
+        returned; see the class docstring for the packing.
+        """
+        self.ladder._check_level(level)
+        return self._watts_by_level[level]
 
     def factor_row(self, level: int) -> List[float]:
         """``dynamic_power_factor`` per slot at *level* (grown lazily)."""
+        self.ladder._check_level(level)
         row = self._factor_rows.get(level)
         if row is None:
             row = []
@@ -261,6 +287,7 @@ class PowerEvalTable:
 
     def speedup_row(self, level: int) -> List[float]:
         """``speedup`` per slot at *level* (grown lazily)."""
+        self.ladder._check_level(level)
         row = self._speedup_rows.get(level)
         if row is None:
             row = []

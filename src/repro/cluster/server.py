@@ -12,7 +12,9 @@ Power is evaluated from *per-type busy-worker counts* against rows of a
 shared :class:`~repro.cluster.power_model.PowerEvalTable`, and the
 resulting watts are cached until the next state change — the same float
 the old per-request iteration produced for a single-type server, in
-the canonical accumulation order (type-slot 0, 1, 2, …).
+the canonical accumulation order (type-slot 0, 1, 2, …).  The table
+also memoises those watts per packed count vector and level, so a
+refresh after a state change is usually one dict lookup.
 
 The server is deliberately policy-free: power managers act on it only
 through :meth:`Server.set_level`, mirroring how RAPL/ACPI expose a
@@ -35,6 +37,12 @@ from .dvfs import FrequencyLadder
 from .power_model import PowerEvalTable, ServerPowerModel
 
 __all__ = ["Server"]
+
+#: Standard normals drawn per ``rng.standard_normal`` call for service
+#: noise.  numpy fills a block with the same per-element draw as scalar
+#: calls, so each request's work is unchanged; only the stream position
+#: runs ahead, to the next block boundary.
+SERVICE_NOISE_BLOCK = 64
 
 CompletionSink = Callable[[Request, RequestOutcome, float], None]
 ShedSink = Callable[[Request], None]
@@ -64,7 +72,10 @@ class Server:
     engine:
         The discrete-event engine driving the simulation.
     rng:
-        Seeded generator for service-time noise.
+        Seeded generator for service-time noise, private to this server
+        (:class:`~repro.cluster.rack.Rack` seeds one per server): the
+        server reads it ahead, :data:`SERVICE_NOISE_BLOCK` normals at a
+        time.
     power_model, ladder:
         Hardware models; defaults reproduce the paper's 100 W node with
         the 1.2–2.4 GHz ladder.
@@ -151,6 +162,15 @@ class Server:
         self._factor_row: List[float] = eval_table.factor_row(self.level)
         self._speedup_row: List[float] = eval_table.speedup_row(self.level)
         self._idle_w: float = eval_table.idle_power_at(self.level)
+        # ``_counts`` packed as Σ counts[slot] · (W + 1) ** slot, kept in
+        # step with it; ``_place[slot]`` is (W + 1) ** slot.  It keys the
+        # rack's memo of watts at the current level.
+        self._code = 0
+        self._place: List[int] = []
+        self._watts_memo: Dict[int, float] = eval_table.watts_memo(self.level)
+        self._evals = self._counters.cell("cluster.power_model_evals")
+        # The rest of the current noise block, reversed for ``pop()``.
+        self._normals: List[float] = []
 
         # Cached instantaneous power; invalidated by every state change.
         self._power_w = self._idle_w
@@ -205,10 +225,14 @@ class Server:
         if not self.healthy:
             return 0.0
         if self._power_dirty:
-            self._counters.inc("cluster.power_model_evals")
-            self._power_w = self.power_model.power_from_counts(
-                self._counts, self._factor_row, self._idle_w
-            )
+            self._evals[0] += 1
+            power_w = self._watts_memo.get(self._code)
+            if power_w is None:
+                power_w = self.power_model.power_from_counts(
+                    self._counts, self._factor_row, self._idle_w
+                )
+                self._watts_memo[self._code] = power_w
+            self._power_w = power_w
             self._power_dirty = False
         return self._power_w
 
@@ -217,7 +241,8 @@ class Server:
 
         Used by capping planners to rank candidate levels.  Note: no
         health check — a crashed server reports its idle floor here, as
-        the planner's model (which cannot see faults) always has.
+        the planner's model (which cannot see faults) always has.  A
+        level off the ladder raises ``ValueError``.
         """
         table = self.eval_table
         return self.power_model.power_from_counts(
@@ -263,10 +288,15 @@ class Server:
         rtype = request.rtype
         sigma = rtype._ln_sigma
         if sigma > 0.0:
+            normals = self._normals
+            if not normals:
+                normals = self.rng.standard_normal(SERVICE_NOISE_BLOCK).tolist()
+                normals.reverse()
+                self._normals = normals
             # == rng.lognormal(mu, sigma), which numpy defines as
             # exp(mu + sigma * standard_normal()).
             work = rtype.base_service_s * math.exp(
-                rtype._ln_mu + sigma * self.rng.standard_normal()
+                rtype._ln_mu + sigma * normals.pop()
             )
         else:
             work = rtype.base_service_s
@@ -275,11 +305,14 @@ class Server:
         counts = self._counts
         if slot >= len(counts):
             counts.extend([0] * (slot + 1 - len(counts)))
+            base = self._num_workers + 1
+            self._place = [base**i for i in range(len(counts))]
             # Re-fetch the rows: fetching extends them in place to the
             # registry's new size.
             self._factor_row = self.eval_table.factor_row(self.level)
             self._speedup_row = self.eval_table.speedup_row(self.level)
         counts[slot] += 1
+        self._code += self._place[slot]
         self._power_dirty = True
         event = self._schedule(
             work / self._speedup_row[slot], self._finish_cb, arg=request
@@ -295,6 +328,7 @@ class Server:
         self._accrue()
         del self._active[request.request_id]
         self._counts[entry.slot] -= 1
+        self._code -= self._place[entry.slot]
         self._power_dirty = True
         self.completed += 1
         now = self._clock._now
@@ -345,6 +379,7 @@ class Server:
         self._factor_row = table.factor_row(level)
         self._speedup_row = table.speedup_row(level)
         self._idle_w = table.idle_power_at(level)
+        self._watts_memo = table.watts_memo(level)
         self._power_dirty = True
         new_speedups = self._speedup_row
         for entry in self._active.values():
@@ -406,6 +441,7 @@ class Server:
             lost.append(entry.request)
         self._active.clear()
         self._counts = [0] * len(self._counts)
+        self._code = 0
         self._power_dirty = True
         shed = list(self._queue)
         self._queue.clear()

@@ -139,6 +139,10 @@ class PDFPolicy(SuspectPoolPolicy):
         # set lookup on the type's URL (the same verdict as
         # ``suspect_list.is_suspect``: unprofiled URLs are innocent).
         self._suspect_urls = frozenset(suspect_list.suspect_urls)
+        self._suspect_cell = self._counters.cell("network.pdf_suspect_forwarded")
+        self._innocent_cell = self._counters.cell(
+            "network.pdf_innocent_forwarded"
+        )
 
     def select(self, request: Request, servers: Sequence[Server]) -> Server:
         """Route by suspect-list classification of the request URL.
@@ -149,8 +153,8 @@ class PDFPolicy(SuspectPoolPolicy):
         """
         if request.rtype.url in self._suspect_urls:
             pool = self._alive(self.suspect_pool, self.innocent_pool)
-            self._counters.inc("network.pdf_suspect_forwarded")
+            self._suspect_cell[0] += 1
             return self._suspect_rr.select(request, pool)
         pool = self._alive(self.innocent_pool, self.suspect_pool)
-        self._counters.inc("network.pdf_innocent_forwarded")
+        self._innocent_cell[0] += 1
         return self._innocent_rr.select(request, pool)

@@ -70,6 +70,10 @@ class DynamicSuspectPolicy(SuspectPoolPolicy):
         self.extractor = extractor
         self.suspect_sources: FrozenSet[int] = frozenset()
         self._now = now
+        counters = self._counters
+        self._arrivals_cell = counters.cell("detect.arrivals_observed")
+        self._suspect_cell = counters.cell("detect.suspect_forwarded")
+        self._innocent_cell = counters.cell("detect.innocent_forwarded")
 
     def set_suspects(self, sources: FrozenSet[int]) -> None:
         """Replace the quarantined source set (scheme-driven, per slot)."""
@@ -81,17 +85,16 @@ class DynamicSuspectPolicy(SuspectPoolPolicy):
         Like PDF, the NLB's *servers* argument is ignored in favour of
         the pools fixed at construction.
         """
-        counters = self._counters
         self.extractor.observe_arrival(
             request.source_id, request.rtype, self._now()
         )
-        counters.inc("detect.arrivals_observed")
+        self._arrivals_cell[0] += 1
         if request.source_id in self.suspect_sources:
             pool = self._alive(self.suspect_pool, self.innocent_pool)
-            counters.inc("detect.suspect_forwarded")
+            self._suspect_cell[0] += 1
             return self._suspect_rr.select(request, pool)
         pool = self._alive(self.innocent_pool, self.suspect_pool)
-        counters.inc("detect.innocent_forwarded")
+        self._innocent_cell[0] += 1
         return self._innocent_rr.select(request, pool)
 
 
@@ -238,12 +241,14 @@ class OnlineDetectScheme(SuspectPoolScheme):
         which never reach a server — so the tap is engine-mode safe.
         """
 
+        completions = self.engine.obs.counters.cell("detect.completions_observed")
+
         def tee(request, outcome, now):
             if outcome is RequestOutcome.COMPLETED:
                 self.extractor.observe_completion(
                     request.source_id, request.rtype, now
                 )
-                self.engine.obs.counters.inc("detect.completions_observed")
+                completions[0] += 1
             if original is not None:
                 original(request, outcome, now)
 

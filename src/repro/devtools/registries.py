@@ -3,12 +3,13 @@
 Two subsystems ship central registries that the code must stay in sync
 with, and both fail *silently* when it does not:
 
-* **Observability** (:mod:`repro.obs.contract`): ``counters.inc`` and
-  ``counters.get`` mint/read any name you hand them, so a typo'd
-  counter name is a permanently-zero dashboard column, not an error.
-  REP011 checks every string-literal counter/timer name in the tree
-  against the declared registry; f-string names are checked by their
-  literal head against the declared prefixes.
+* **Observability** (:mod:`repro.obs.contract`): ``counters.inc``,
+  ``counters.get`` and ``counters.cell`` mint/read any name you hand
+  them, so a typo'd counter name is a permanently-zero dashboard
+  column, not an error.  REP011 checks every string-literal
+  counter/timer name in the tree against the declared registry;
+  f-string names are checked by their literal head against the
+  declared prefixes.
 * **Drop attribution** (:data:`repro.network.request.FAULT_OUTCOMES` /
   ``POLICY_OUTCOMES``): the chaos metrics split every non-completed
   request into scheme-chosen (policy) versus infrastructure-inflicted
@@ -35,8 +36,16 @@ from .engine import Finding, ModuleInfo, ProjectInfo, ProjectRule, Rule, registe
 
 __all__ = ["ObsContractRule", "OutcomeContractRule"]
 
-#: Method names on a ``counters`` receiver that take a counter name.
-_COUNTER_METHODS = frozenset({"inc", "get"})
+#: Receiver names a counter table goes by (``rec.counters``,
+#: ``self._counters``).
+_COUNTER_RECEIVERS = frozenset({"counters", "_counters"})
+
+#: Method names on a counter-table receiver that take a counter name.
+_COUNTER_METHODS = frozenset({"inc", "get", "cell"})
+
+#: Suffix of class attributes that hold a counter name
+#: (``failover_counter = "network.pdf_failover_forwarded"``).
+_COUNTER_ATTR_SUFFIX = "_counter"
 
 #: Method names on a ``timers`` receiver that take a phase name.
 _TIMER_METHODS = frozenset({"phase"})
@@ -75,11 +84,13 @@ def _fstring_head(node: ast.JoinedStr) -> Optional[str]:
 class ObsContractRule(Rule):
     """REP011: counter/timer name literals must be declared.
 
-    Every string literal passed to ``counters.inc``/``counters.get``
-    must appear in :data:`repro.obs.contract.COUNTER_NAMES` (f-strings:
-    their literal head must start a declared prefix), and every literal
-    passed to ``timers.phase`` must appear in ``TIMER_NAMES``.  The
-    registry module itself is exempt — it *is* the declaration.
+    Every string literal passed to ``inc``/``get``/``cell`` on a
+    ``counters`` or ``_counters`` receiver, and every string assigned
+    to a class attribute named ``*_counter``, must appear in
+    :data:`repro.obs.contract.COUNTER_NAMES` (f-strings: their literal
+    head must start a declared prefix), and every literal passed to
+    ``timers.phase`` must appear in ``TIMER_NAMES``.  The registry
+    module itself is exempt — it *is* the declaration.
     """
 
     rule_id = "REP011"
@@ -89,16 +100,38 @@ class ObsContractRule(Rule):
         if module.module == "repro.obs.contract":
             return
         for node in ast.walk(module.tree):
+            if isinstance(node, ast.ClassDef):
+                yield from self._check_counter_attrs(module, node)
             if not isinstance(node, ast.Call) or not isinstance(
                 node.func, ast.Attribute
             ):
                 continue
             receiver = _receiver_name(node.func)
             method = node.func.attr
-            if receiver == "counters" and method in _COUNTER_METHODS:
-                yield from self._check_counter_arg(module, node, method)
+            if receiver in _COUNTER_RECEIVERS and method in _COUNTER_METHODS:
+                yield from self._check_counter_name(
+                    module, self._name_arg(node), f"counters.{method}"
+                )
             elif receiver == "timers" and method in _TIMER_METHODS:
                 yield from self._check_timer_arg(module, node, method)
+
+    def _check_counter_attrs(
+        self, module: ModuleInfo, node: ast.ClassDef
+    ) -> Iterator[Finding]:
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith(
+                    _COUNTER_ATTR_SUFFIX
+                ):
+                    yield from self._check_counter_name(
+                        module, stmt.value, f"{node.name}.{target.id}"
+                    )
 
     def _name_arg(self, node: ast.Call) -> Optional[ast.AST]:
         if node.args:
@@ -108,16 +141,15 @@ class ObsContractRule(Rule):
                 return keyword.value
         return None
 
-    def _check_counter_arg(
-        self, module: ModuleInfo, node: ast.Call, method: str
+    def _check_counter_name(
+        self, module: ModuleInfo, arg: Optional[ast.AST], site: str
     ) -> Iterator[Finding]:
-        arg = self._name_arg(node)
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             if not is_declared_counter(arg.value):
                 yield self.finding(
                     module,
                     arg,
-                    f"counter name {arg.value!r} (in counters.{method}) is "
+                    f"counter name {arg.value!r} (in {site}) is "
                     "not declared in repro.obs.contract.COUNTER_NAMES — a "
                     "typo here reads/mints a silent zero; declare it or "
                     "fix the spelling",
@@ -130,7 +162,7 @@ class ObsContractRule(Rule):
                     module,
                     arg,
                     f"dynamic counter name starting {shown!r} (in "
-                    f"counters.{method}) matches no declared prefix in "
+                    f"{site}) matches no declared prefix in "
                     "repro.obs.contract.COUNTER_PREFIXES; declare the "
                     "family prefix",
                 )

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .._validation import check_int, check_positive
+from ..obs import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.server import Server
@@ -119,18 +120,26 @@ class FlowletEcmpFabric:
         self.num_spines = num_spines
         self.flowlet_gap_s = flowlet_gap_s
         self.salt = salt
-        self._counters = obs.counters if obs is not None else None
+        # Without a recorder the tallies go to a private table no one reads.
+        counters = obs.counters if obs is not None else Counters()
+        self._counters = counters
         self._flows: Dict[int, _FlowState] = {}
         self._rack_rr: List[int] = [0] * num_racks
         self._salt_hash = splitmix64(salt & _MASK64)
-        self._forwarded_names = [
-            f"fabric.forwarded.rack{rack_idx}" for rack_idx in range(num_racks)
+        # Read on every new flowlet, so not through the property.
+        self._num_paths = num_spines * num_racks
+        self._fleet_size = num_racks * servers_per_rack
+        self._flowlets = counters.cell("fabric.flowlets")
+        self._path_switches = counters.cell("fabric.path_switches")
+        self._forwarded = [
+            counters.cell(f"fabric.forwarded.rack{rack_idx}")
+            for rack_idx in range(num_racks)
         ]
 
     @property
     def num_paths(self) -> int:
         """Size of the ECMP path space."""
-        return self.num_spines * self.num_racks
+        return self._num_paths
 
     def path_of(self, flow_id: int) -> Optional[int]:
         """The path flow *flow_id* is currently hashed to (None = unseen)."""
@@ -140,6 +149,10 @@ class FlowletEcmpFabric:
     def rack_of_path(self, path: int) -> int:
         """The destination rack of *path* (spine = ``path // num_racks``)."""
         check_int("path", path, minimum=0)
+        if path >= self._num_paths:
+            raise ValueError(
+                f"path {path} outside the fabric's {self._num_paths} paths"
+            )
         return path % self.num_racks
 
     # ------------------------------------------------------------------
@@ -155,45 +168,56 @@ class FlowletEcmpFabric:
         rack has no healthy member the fabric probes subsequent racks in
         deterministic order (a failover re-route, counted separately so
         chaos runs can see re-routing happen).
+
+        *servers* must be in rack order, that is ascending
+        ``server_id`` — as the NLB always passes them.  Then, when it
+        is the whole fleet (``num_racks × servers_per_rack`` servers,
+        the last one ``server_id == num_racks × servers_per_rack − 1``),
+        rack *k*'s members are the run ``servers[k·per : (k+1)·per]``
+        and the pick indexes into that run directly; any other list
+        takes the scan over its members.
         """
         flow_id = request.source_id
         now_s = request.arrival_time_s
-        counters = self._counters
         num_racks = self.num_racks
         state = self._flows.get(flow_id)
         if state is None:
             # The ecmp_path hash, with its salted flow stage kept.
             flow_hash = splitmix64(self._salt_hash ^ (flow_id & _MASK64))
             state = _FlowState(
-                now_s, splitmix64(flow_hash) % self.num_paths, flow_hash
+                now_s, splitmix64(flow_hash) % self._num_paths, flow_hash
             )
             self._flows[flow_id] = state
-            if counters is not None:
-                counters.inc("fabric.flows")
-                counters.inc("fabric.flowlets")
+            self._counters.inc("fabric.flows")
+            self._flowlets[0] += 1
         else:
             gap_s = self.flowlet_gap_s
             if gap_s is not None and now_s - state.last_seen_s > gap_s:
                 state.flowlet_id += 1
                 new_path = (
                     splitmix64(state.flow_hash ^ (state.flowlet_id & _MASK64))
-                    % self.num_paths
+                    % self._num_paths
                 )
-                if counters is not None:
-                    counters.inc("fabric.flowlets")
-                    if new_path != state.path:
-                        counters.inc("fabric.path_switches")
+                self._flowlets[0] += 1
+                if new_path != state.path:
+                    self._path_switches[0] += 1
                 state.path = new_path
             state.last_seen_s = now_s
         rack_idx = state.path % num_racks
+        size = self._fleet_size
+        if len(servers) == size and servers[-1].server_id == size - 1:
+            per_rack = self.servers_per_rack
+            slot = self._rack_rr[rack_idx] % per_rack
+            self._rack_rr[rack_idx] = slot + 1
+            self._forwarded[rack_idx][0] += 1
+            return servers[rack_idx * per_rack + slot]
         candidates = self._rack_members(rack_idx, servers)
         if not candidates:
             for offset in range(1, num_racks):
                 probe_idx = (rack_idx + offset) % num_racks
                 candidates = self._rack_members(probe_idx, servers)
                 if candidates:
-                    if counters is not None:
-                        counters.inc("fabric.failovers")
+                    self._counters.inc("fabric.failovers")
                     rack_idx = probe_idx
                     break
         if not candidates:
@@ -203,8 +227,7 @@ class FlowletEcmpFabric:
             candidates = list(servers)
         slot = self._rack_rr[rack_idx] % len(candidates)
         self._rack_rr[rack_idx] = slot + 1
-        if counters is not None:
-            counters.inc(self._forwarded_names[rack_idx])
+        self._forwarded[rack_idx][0] += 1
         return candidates[slot]
 
     def _rack_members(

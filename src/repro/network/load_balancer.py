@@ -41,7 +41,8 @@ DropSink = Callable[[Request, RequestOutcome, float], None]
 Scheduler = Callable[[float, Callable[[], None]], object]
 
 #: Per-outcome drop-counter names, precomputed so the drop path does no
-#: per-request string formatting.  The tails match the
+#: per-request string formatting; each balancer holds one counter cell
+#: per name.  The tails match the
 #: ``network.nlb_dropped.`` prefix declared in ``repro.obs.contract``.
 #: Keyed on the outcome's value string: hashing the member itself runs
 #: ``Enum.__hash__`` in Python on every drop.
@@ -178,6 +179,12 @@ class NetworkLoadBalancer:
         self._now = now or (lambda: 0.0)
         self._obs = obs if obs is not None else Recorder()
         self._counters = self._obs.counters
+        # Once-per-request tallies, bumped in place (``Counters.cell``).
+        self._forwarded_cell = self._counters.cell("network.nlb_forwarded")
+        self._drop_cells = {
+            value: self._counters.cell(name)
+            for value, name in _DROP_COUNTER_NAME.items()
+        }
         self.retry_policy = retry_policy
         self._scheduler = scheduler
         self.forwarded = 0
@@ -230,7 +237,7 @@ class NetworkLoadBalancer:
             self._drop(request, RequestOutcome.DROPPED_QUEUE_FULL, now)
             return False
         self.forwarded += 1
-        self._counters.inc("network.nlb_forwarded")
+        self._forwarded_cell[0] += 1
         return True
 
     def _retry_or_drop(self, request: Request, now: float) -> bool:
@@ -260,14 +267,15 @@ class NetworkLoadBalancer:
         the per-outcome counters consistent with what *count*
         individual rejections would have recorded.  Terminal records
         are the drain's job (it writes one aggregate record instead of
-        *count* per-request ones).
+        *count* per-request ones).  *count* is at least 1: the drain
+        skips empty cohorts.
         """
         self.dropped += count
-        self._counters.inc(_DROP_COUNTER_NAME[outcome._value_], count)
+        self._drop_cells[outcome._value_][0] += count
 
     def _drop(self, request: Request, outcome: RequestOutcome, now: float) -> None:
         self.dropped += 1
-        self._counters.inc(_DROP_COUNTER_NAME[outcome._value_])
+        self._drop_cells[outcome._value_][0] += 1
         if self.drop_sink is not None:
             self.drop_sink(request, outcome, now)
         if request.on_terminal is not None:

@@ -25,12 +25,20 @@ Names with a runtime-variable tail (per-fault-kind, per-outcome) are
 declared by prefix in :data:`COUNTER_PREFIXES`; the static rule checks
 the literal head of the f-string against these.
 
+A name reaches the table in one of three ways, and REP011 checks the
+literal in each: ``counters.inc(name)``, ``counters.cell(name)`` (a
+one-slot tally a per-request site bumps in place; every read folds it
+in, so a cell is the same counter as ``inc`` on its name), and a string
+class attribute named ``*_counter`` that a class passes to ``inc``
+(the suspect-pool forwarders' ``failover_counter``).
+
 A second axis splits the counters themselves: most count *model*
 events (arrivals, drops, control slots) and must be byte-identical
 between same-seed runs in any engine execution mode; a few count
-*execution* work (cache-miss power evaluations, cohort bookkeeping)
-and legitimately differ between the scalar and batched engines.  The
-latter are listed in :data:`EXECUTION_COUNTER_NAMES` and excluded from
+*execution* work (refreshes of a server's cached watts, cohort
+bookkeeping) and legitimately differ between the scalar and batched
+engines.  The latter are listed in :data:`EXECUTION_COUNTER_NAMES` and
+excluded from
 :meth:`~repro.obs.manifest.RunManifest.deterministic_payload`.
 """
 
@@ -59,7 +67,10 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "engine.cohort_requests",
         "engine.fluid_segments",
         "engine.fluid_time_advanced_s",
-        # sim.cluster — server fleet lifecycle
+        # sim.cluster — server fleet lifecycle.  power_model_evals
+        # counts refreshes of a server's cached watts after a state
+        # change, one per refresh whether the rack's watts memo hits or
+        # misses (a miss is the one power_from_counts call).
         "cluster.power_model_evals",
         "cluster.dvfs_transitions",
         "cluster.server_failures",

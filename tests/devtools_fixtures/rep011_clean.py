@@ -53,3 +53,26 @@ def record_prediction(counters, timers):
     counters.inc("predict.blind_violation_slots")
     with timers.phase("runner.cell"):
         pass
+
+
+class Forwarder:
+    """``self._counters`` receivers, counter cells and ``*_counter``
+    class attributes, all with declared names."""
+
+    failover_counter = "network.pdf_failover_forwarded"
+    retry_counter: str = "network.nlb_retries"
+    counter_family: str = "not-a-counter-name"  # not a *_counter attribute
+
+    def __init__(self, counters):
+        self._counters = counters
+        self._forwarded = counters.cell("network.nlb_forwarded")
+        self._evals = self._counters.cell("cluster.power_model_evals")
+        self._racks = [
+            counters.cell(f"fabric.forwarded.rack{k}") for k in range(4)
+        ]
+
+    def forward(self):
+        self._forwarded[0] += 1
+        self._counters.inc("network.nlb_rerouted")
+        self._counters.inc(self.failover_counter)  # an attribute: checked above
+        return self._counters.get("network.nlb_forwarded")

@@ -40,3 +40,23 @@ def record_prediction(counters, timers):
     counters.inc("predict_soft_cap_slots")  # VIOLATION: underscore where the predict. prefix has a dot
     with timers.phase("runner.cells"):  # VIOLATION: typo of runner.cell
         pass
+
+
+class Forwarder:
+    """Hot sites hold their counter table as ``self._counters``."""
+
+    failover_counter = "network.pdf_failover_forwardd"  # VIOLATION: typo of pdf_failover_forwarded
+    retry_counter: str = "network.nlb_retrys"  # VIOLATION: typo of nlb_retries
+
+    def __init__(self, counters):
+        self._counters = counters
+        self._forwarded = counters.cell("network.nlb_forwardd")  # VIOLATION: typo of nlb_forwarded
+        self._evals = self._counters.cell("cluster.power_model_eval")  # VIOLATION: typo of power_model_evals
+        self._racks = [
+            counters.cell(f"fabrik.forwarded.rack{k}")  # VIOLATION: typo of the fabric. prefix
+            for k in range(4)
+        ]
+
+    def forward(self):
+        self._counters.inc("network.nlb_rerouteed")  # VIOLATION: typo of nlb_rerouted
+        return self._counters.get("network.nlb_forwared")  # VIOLATION: typo of nlb_forwarded

@@ -130,6 +130,10 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     # numpy's named distributions against the request path's direct
     # call forms: a numpy release that breaks the identity fails here.
     assert "tests/test_rng_forms.py" in runs
+    # The power-tree request path's caches against their uncached
+    # references: the fabric's rack indexing and the memoised watts.
+    assert "tests/test_fabric_fast_path.py" in runs
+    assert "tests/test_watts_memo.py" in runs
     # Cross-engine identity must exercise the process pool too.
     assert "REPRO_BENCH_ENGINE=scalar" in runs
     assert "REPRO_BENCH_ENGINE=batched" in runs

@@ -218,3 +218,13 @@ def test_path_space_and_validation():
         FlowletEcmpFabric(num_racks=0, servers_per_rack=4)
     with pytest.raises(ValueError):
         FlowletEcmpFabric(num_racks=2, servers_per_rack=2, flowlet_gap_s=0.0)
+
+
+def test_rack_of_path_rejects_paths_off_the_fabric():
+    fabric = _fabric(num_racks=4, num_spines=2)  # 8 paths
+    assert [fabric.rack_of_path(p) for p in range(8)] == [0, 1, 2, 3] * 2
+    for path in (8, 99):
+        with pytest.raises(ValueError, match="outside the fabric"):
+            fabric.rack_of_path(path)
+    with pytest.raises(ValueError):
+        fabric.rack_of_path(-1)

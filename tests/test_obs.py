@@ -74,6 +74,45 @@ def test_counters_clear_resets_the_table():
     assert c.get("a") == 0
 
 
+def test_counter_cell_and_inc_on_one_name_add_up():
+    c = Counters()
+    c.inc("a", 2)
+    cell = c.cell("a")
+    assert c.cell("a") is cell  # one shared cell per name
+    cell[0] += 3
+    c.inc("a")
+    assert c.get("a") == 6
+    only_cell = c.cell("b")
+    only_cell[0] += 1
+    assert c.as_dict() == {"a": 6, "b": 1}
+    assert len(c) == 2
+    assert "a" in c and "b" in c
+
+
+def test_zero_counter_cells_are_absent():
+    c = Counters()
+    c.cell("z")
+    c.inc("a")
+    assert "z" not in c
+    assert len(c) == 1
+    assert c.as_dict() == {"a": 1}
+    assert c.get("z") == 0
+    # inc(name, 0) still mints the name, with or without a zero cell.
+    c.inc("z", 0)
+    assert "z" in c and c.as_dict() == {"a": 1, "z": 0}
+
+
+def test_clear_zeroes_held_counter_cells():
+    c = Counters()
+    cell = c.cell("a")
+    cell[0] += 4
+    c.clear()
+    assert cell[0] == 0
+    assert "a" not in c and len(c) == 0 and c.as_dict() == {}
+    cell[0] += 1  # the holder keeps counting into the same table
+    assert c.get("a") == 1 and c.as_dict() == {"a": 1}
+
+
 # ----------------------------------------------------------------------
 # Timers
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import ServerPowerModel
+from repro.cluster import FrequencyLadder, ServerPowerModel
+from repro.cluster.power_model import PowerEvalTable
 from repro.workloads import (
     COLLA_FILT,
     K_MEANS,
@@ -126,3 +127,35 @@ class TestValidation:
 
     def test_max_power_equals_nameplate(self, power_model):
         assert power_model.max_power() == 100.0
+
+
+class TestEvalTableLevels:
+    """Level-indexed accessors reject a level off the ladder.
+
+    A raw list index would read ``idle[-1]`` (the top level's floor)
+    for -1 and a lower level's floor for -3, and raise a bare
+    ``IndexError`` past the top.
+    """
+
+    @pytest.mark.parametrize("level", [-1, -3, 13, 99])
+    @pytest.mark.parametrize(
+        "accessor", ["idle_power_at", "factor_row", "speedup_row", "watts_memo"]
+    )
+    def test_level_off_the_ladder_rejected(self, accessor, level):
+        table = PowerEvalTable(ServerPowerModel(), FrequencyLadder())
+        table.slot_of(COLLA_FILT)
+        with pytest.raises(ValueError, match="outside ladder"):
+            getattr(table, accessor)(level)
+
+    def test_levels_on_the_ladder_accepted(self, power_model):
+        ladder = FrequencyLadder()
+        table = PowerEvalTable(power_model, ladder)
+        table.slot_of(COLLA_FILT)
+        for level in (0, ladder.max_level):
+            ratio = ladder.ratio(level)
+            assert table.idle_power_at(level) == power_model.idle_power(ratio)
+            assert table.factor_row(level) == [
+                COLLA_FILT.dynamic_power_factor(ratio, alpha=power_model.alpha)
+            ]
+            assert table.speedup_row(level) == [COLLA_FILT.speedup(ratio)]
+            assert table.watts_memo(level) == {}

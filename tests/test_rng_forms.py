@@ -10,6 +10,8 @@ calls numpy itself defines as identical to the named distributions:
 
 numpy's C distributions compute each named call as exactly that
 expression, so the values and the bit-generator's consumption agree.
+The server draws its standard normals in blocks, which numpy fills with
+the same per-element draw as scalar calls.
 Every golden table and digest rests on this, so a numpy release that
 broke it must fail here rather than silently move those outputs.
 
@@ -82,6 +84,22 @@ def test_direct_forms_equal_named_calls_bit_for_bit(seed):
     assert named.bit_generator.state == direct.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_normals_equal_scalar_draws(seed):
+    """``standard_normal(n)`` is *n* scalar draws: same values, same state.
+
+    The server takes its service noise from blocks of normals, so each
+    request's work rests on this.
+    """
+    block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (1, 7, 256, 1000):
+        values = block.standard_normal(n).tolist()
+        expected = [scalar.standard_normal() for _ in range(n)]
+        assert all(type(v) is float for v in values + expected)
+        assert [_bits(v) for v in values] == [_bits(v) for v in expected]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
 # ----------------------------------------------------------------------
 # The call sites: each draws what the named call would have drawn.
 # ----------------------------------------------------------------------
@@ -102,12 +120,20 @@ def test_jittered_constant_rate_gaps():
 
 @pytest.mark.parametrize("rtype", ALL_TYPES, ids=lambda t: t.name)
 def test_server_service_work(rtype):
-    """Each started request's work is ``base * rng.lognormal(mu, sigma)``."""
+    """Each started request's work is ``base * rng.lognormal(mu, sigma)``.
+
+    The server draws its normals :data:`SERVICE_NOISE_BLOCK` at a time,
+    so after 500 requests its stream sits at the next block boundary:
+    the reference skips the rest of the block before the states compare.
+    """
+    from repro.cluster.server import SERVICE_NOISE_BLOCK
+
     engine = EventEngine()
     rng, ref = np.random.default_rng(17), np.random.default_rng(17)
     server = Server(0, engine, rng, queue_capacity=0)
+    requests = 500
     works, expected = [], []
-    for i in range(500):
+    for i in range(requests):
         request = Request(rtype, 0, TrafficClass.NORMAL, engine.now, i)
         assert server.submit(request)
         works.append(_bits(request.remaining_work))
@@ -119,6 +145,7 @@ def test_server_service_work(rtype):
         )
         engine.run()  # finish it, so the next one starts at once
     assert works == expected
+    ref.standard_normal(-requests % SERVICE_NOISE_BLOCK)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

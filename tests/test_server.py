@@ -170,6 +170,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Server(0, engine, rng, queue_capacity=-1)
 
+    @pytest.mark.parametrize("level", [-1, -3, 13, 99])
+    def test_power_at_level_off_the_ladder_rejected(self, engine, rng, level):
+        # A fresh server has no registered type, so only the idle floor
+        # is read; a raw list index would give -1 the top level's 38.0 W.
+        server = Server(0, engine, rng)
+        with pytest.raises(ValueError, match="outside ladder"):
+            server.power_at_level(level)
+
 
 class TestQueueTimeout:
     def test_stale_queued_requests_are_abandoned(self, engine, rng, collector):
