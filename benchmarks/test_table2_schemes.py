@@ -31,7 +31,7 @@ def test_table2_scheme_matrix(benchmark):
                 (
                     scheme.name,
                     feature,
-                    scheme.forwarding_policy(sim.rack.servers) is not None,
+                    scheme.forwarding_policy() is not None,
                     scheme.admission_filter() is not None,
                     isinstance(scheme, (ShavingScheme, AntiDopeScheme)),
                 )

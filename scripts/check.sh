@@ -32,7 +32,7 @@ if [ "$MODE" = "--ci" ]; then
 fi
 
 echo "== repro lint src/repro (REP001-REP012) =="
-python -m repro lint src/repro --baseline lint-baseline.json
+python -m repro lint src/repro
 
 if [ "$MODE" = "--lint-only" ]; then
     exit 0

@@ -22,7 +22,7 @@ Six operator-facing commands wrap the library's main workflows:
 ``lint``
     The domain-aware static analysis suite (REP001–REP012): unit
     dataflow, determinism races, layering and the obs/faults contract
-    registries, with text/JSON/SARIF output and a baseline workflow.
+    registries, with text/JSON/SARIF output.
 
 All commands are deterministic per ``--seed``; ``sweep`` and ``chaos``
 output is additionally byte-identical for any worker count.  The
@@ -51,6 +51,7 @@ from .workloads import (
     COLLA_FILT,
     K_MEANS,
     WORD_COUNT,
+    RequestType,
     TrafficClass,
     get_type,
     uniform_mix,
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="domain-aware static analysis (REP rules, SARIF, baselines)",
+        help="domain-aware static analysis (REP rules, SARIF)",
     )
     devtools_lint.configure_parser(lint)
 
@@ -318,27 +319,43 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def cmd_region(args: argparse.Namespace) -> int:
-    """``repro region`` — sweep and print the DOPE region map."""
+def _print_region_sweeps(
+    args: argparse.Namespace,
+    types: Sequence[RequestType],
+    title: str,
+    workers: int = 1,
+    cache: Optional[ResultCache] = None,
+    **analyzer_options: float,
+) -> None:
+    """Sweep the region grid once per selected scheme and print it.
+
+    Each sweep prints its zone table and DOPE-cell count; several
+    schemes add a by-scheme summary.  *title* is formatted with the
+    ``budget``, ``agents``, ``cells`` and ``label`` of each sweep, and
+    *analyzer_options* go to :class:`DopeRegionAnalyzer`.
+    """
     summary = []
     for scheme in _selected_schemes(args):
         analyzer = DopeRegionAnalyzer(
             config=_config(args),
             num_agents=args.agents,
             scheme=scheme,
+            **analyzer_options,
         )
-        result = analyzer.sweep(ALL_TYPES, args.rates)
+        result = analyzer.sweep(types, args.rates, workers=workers, cache=cache)
         label = scheme if scheme else "unmanaged"
         print(
             format_table(
                 ["type"] + [f"{int(r)}rps" for r in args.rates],
                 [
                     (t.name, *(result.zone_of(t.name, r) for r in args.rates))
-                    for t in ALL_TYPES
+                    for t in types
                 ],
-                title=(
-                    f"DOPE region ({args.budget}, {args.agents} agents, "
-                    f"{label})"
+                title=title.format(
+                    budget=args.budget,
+                    agents=args.agents,
+                    cells=len(result.cells),
+                    label=label,
                 ),
             )
         )
@@ -357,6 +374,13 @@ def cmd_region(args: argparse.Namespace) -> int:
                 title="DOPE-region size by scheme",
             )
         )
+
+
+def cmd_region(args: argparse.Namespace) -> int:
+    """``repro region`` — sweep and print the DOPE region map."""
+    _print_region_sweeps(
+        args, ALL_TYPES, "DOPE region ({budget}, {agents} agents, {label})"
+    )
     return 0
 
 
@@ -455,46 +479,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else tuple(get_type(name) for name in args.types)
     )
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    summary = []
-    for scheme in _selected_schemes(args):
-        analyzer = DopeRegionAnalyzer(
-            config=_config(args),
-            window_s=args.window,
-            num_agents=args.agents,
-            scheme=scheme,
-        )
-        result = analyzer.sweep(
-            types, args.rates, workers=args.workers, cache=cache
-        )
-        label = scheme if scheme else "unmanaged"
-        print(
-            format_table(
-                ["type"] + [f"{int(r)}rps" for r in args.rates],
-                [
-                    (t.name, *(result.zone_of(t.name, r) for r in args.rates))
-                    for t in types
-                ],
-                title=(
-                    f"DOPE region sweep ({args.budget}, {args.agents} agents, "
-                    f"{len(result.cells)} cells, {label})"
-                ),
-            )
-        )
-        dope = result.dope_cells()
-        print(
-            f"\n{len(dope)} of {len(result.cells)} swept cells are in the "
-            "DOPE region"
-        )
-        summary.append((label, len(dope), len(result.cells)))
-    if len(summary) > 1:
-        print()
-        print(
-            format_table(
-                ["scheme", "dope cells", "swept"],
-                summary,
-                title="DOPE-region size by scheme",
-            )
-        )
+    _print_region_sweeps(
+        args,
+        types,
+        "DOPE region sweep ({budget}, {agents} agents, {cells} cells, {label})",
+        workers=args.workers,
+        cache=cache,
+        window_s=args.window,
+    )
     if cache is not None:
         print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
     return 0

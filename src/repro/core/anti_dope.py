@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .._validation import check_fraction, check_int
-from ..cluster.server import Server
 from ..power.manager import PowerManagementScheme
 from ..workloads.catalog import ALL_TYPES, RequestType
 from .dpm import DPMPlanner
@@ -42,7 +41,8 @@ class SuspectPoolScheme(PowerManagementScheme):
     pool; RPM throttles that pool first every control slot, with the
     battery as the transition medium.  Subclasses decide what is
     suspect: they build the policy at bind and hand it to
-    :meth:`_install`, which builds RPM over the policy's pool carve.
+    :meth:`_install`, which caps the suspect queues and builds RPM over
+    the policy's pool carve.
 
     Parameters
     ----------
@@ -75,9 +75,8 @@ class SuspectPoolScheme(PowerManagementScheme):
         profiled_types: Sequence[RequestType] = ALL_TYPES,
         hysteresis: float = 0.02,
     ) -> None:
-        super().__init__()
+        super().__init__(hysteresis)
         check_int("suspect_pool_size", suspect_pool_size, minimum=1)
-        check_fraction("hysteresis", hysteresis)
         if suspect_queue_factor is not None and suspect_queue_factor < 1.0:
             raise ValueError(
                 f"suspect_queue_factor must be >= 1, got {suspect_queue_factor}"
@@ -86,14 +85,17 @@ class SuspectPoolScheme(PowerManagementScheme):
         self.use_battery_transition = use_battery_transition
         self.suspect_queue_factor = suspect_queue_factor
         self.profiled_types: Tuple[RequestType, ...] = tuple(profiled_types)
-        self.hysteresis = hysteresis
         self.policy: Optional[SuspectPoolPolicy] = None
         self.rpm: Optional[RequestAwarePowerManager] = None
-        self._queue_capped = False
 
     def _install(self, policy: SuspectPoolPolicy) -> None:
-        """Adopt *policy* and build RPM over its pool carve."""
+        """Adopt *policy*, cap its suspect queues and build RPM over its
+        pool carve.  Called once, at bind, with the final carve."""
         self.policy = policy
+        if self.suspect_queue_factor is not None:
+            for server in policy.suspect_pool:
+                cap = int(self.suspect_queue_factor * server.num_workers)
+                server.queue_capacity = min(server.queue_capacity, cap)
         self.rpm = RequestAwarePowerManager(
             suspect_pool=policy.suspect_pool,
             innocent_pool=policy.innocent_pool,
@@ -106,20 +108,9 @@ class SuspectPoolScheme(PowerManagementScheme):
             power_reader=self.current_power,
         )
 
-    def forwarding_policy(self, servers: Sequence[Server]) -> SuspectPoolPolicy:
-        """The suspect-pool policy for the NLB.
-
-        The suspect queues are capped here, not at bind: the facade
-        fetches the policy only after :meth:`bind_topology`, so the
-        short queue lands on the *final* pool carve (a re-carve must not
-        leave a stray capped server behind).
-        """
+    def forwarding_policy(self) -> SuspectPoolPolicy:
+        """The suspect-pool policy for the NLB."""
         self._require_bound()
-        if self.suspect_queue_factor is not None and not self._queue_capped:
-            for server in self.policy.suspect_pool:
-                cap = int(self.suspect_queue_factor * server.num_workers)
-                server.queue_capacity = min(server.queue_capacity, cap)
-            self._queue_capped = True
         return self.policy
 
     def step(self) -> None:
@@ -180,9 +171,9 @@ class AntiDopeScheme(SuspectPoolScheme):
         self.suspect_threshold_fraction = suspect_threshold_fraction
         self.suspect_list = suspect_list
 
-    def bind(self, engine, rack, budget, battery, slot_s) -> None:
+    def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
         """Attach infrastructure, build the suspect list, PDF and RPM."""
-        super().bind(engine, rack, budget, battery, slot_s)
+        super().bind(engine, rack, budget, battery, slot_s, topology)
         if self.suspect_list is None:
             self.suspect_list = SuspectList.from_model(
                 self.profiled_types,

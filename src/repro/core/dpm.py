@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .._validation import check_fraction, check_int, check_non_negative
+from .._validation import check_int, check_non_negative
+from ..power.manager import check_hysteresis, highest_guarded_level
 
 __all__ = [
     "ThrottlePlan",
@@ -59,14 +60,13 @@ class DPMPlanner:
         Raise-guard band as a fraction of the cap: a pool level is only
         *raised* when the predicted power stays below
         ``cap × (1 − hysteresis)``, preventing level chatter when the
-        load sits exactly at the budget.
+        load sits exactly at the budget.  Must lie in ``[0, 0.5)``.
     """
 
     def __init__(self, max_level: int, hysteresis: float = 0.02) -> None:
         check_int("max_level", max_level, minimum=0)
-        check_fraction("hysteresis", hysteresis)
         self.max_level = max_level
-        self.hysteresis = hysteresis
+        self.hysteresis = check_hysteresis(hysteresis)
 
     def plan(
         self,
@@ -86,25 +86,23 @@ class DPMPlanner:
         self._check_level("current_suspect_level", current_suspect_level)
         self._check_level("current_innocent_level", current_innocent_level)
         guard = cap_w * (1.0 - self.hysteresis)
+        top = self.max_level
 
         # Phase 1: innocent pool at nominal, search the suspect level.
-        choice = self._highest_fitting(
-            lambda p: predict(p, self.max_level),
-            cap_w,
-            guard,
-            current_suspect_level,
+        choice = highest_guarded_level(
+            lambda p: predict(p, top), cap_w, guard, top, current_suspect_level
         )
         if choice is not None:
             return ThrottlePlan(
                 suspect_level=choice,
-                innocent_level=self.max_level,
-                predicted_power_w=predict(choice, self.max_level),
+                innocent_level=top,
+                predicted_power_w=predict(choice, top),
                 feasible=True,
             )
 
         # Phase 2: suspect pool pinned at minimum, search innocent level.
-        choice = self._highest_fitting(
-            lambda q: predict(0, q), cap_w, guard, current_innocent_level
+        choice = highest_guarded_level(
+            lambda q: predict(0, q), cap_w, guard, top, current_innocent_level
         )
         if choice is not None:
             return ThrottlePlan(
@@ -121,21 +119,6 @@ class DPMPlanner:
             predicted_power_w=predict(0, 0),
             feasible=False,
         )
-
-    def _highest_fitting(
-        self,
-        power_at: Callable[[int], float],
-        cap_w: float,
-        guard_w: float,
-        current: int,
-    ):
-        """Highest level whose power fits; raising past *current* needs guard."""
-        for level in range(self.max_level, -1, -1):
-            power_w = power_at(level)
-            limit = guard_w if level > current else cap_w
-            if power_w <= limit:
-                return level
-        return None
 
     def _check_level(self, name: str, level: int) -> None:
         check_int(name, level, minimum=0)

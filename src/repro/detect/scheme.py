@@ -27,7 +27,7 @@ cannot concentrate whole-row power behind a single PDU.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .._validation import check_positive, require
 from ..cluster.server import Server
@@ -125,6 +125,8 @@ class OnlineDetectScheme(SuspectPoolScheme):
 
     name = "online-detect"
 
+    policy: Optional[DynamicSuspectPolicy]
+
     def __init__(
         self,
         suspect_pool_size: int = 1,
@@ -161,9 +163,14 @@ class OnlineDetectScheme(SuspectPoolScheme):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def bind(self, engine, rack, budget, battery, slot_s) -> None:
-        """Attach infrastructure; build the pipeline over the flat carve."""
-        super().bind(engine, rack, budget, battery, slot_s)
+    def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
+        """Attach infrastructure; build the pipeline over the pool carve.
+
+        Row placement on a power tree isolates the last server of every
+        row; otherwise the pool is the last ``suspect_pool_size``
+        servers in rack order.
+        """
+        super().bind(engine, rack, budget, battery, slot_s, topology)
         self.extractor = StreamingFeatureExtractor(
             self.profiled_types,
             tau_s=self.tau_s,
@@ -179,59 +186,36 @@ class OnlineDetectScheme(SuspectPoolScheme):
             enter_threshold=self.enter_threshold,
             exit_threshold=self.exit_threshold,
         )
-        self._build_pools(*split_pools(rack.servers, self.suspect_pool_size))
-        for server in rack.servers:
-            server.completion_sink = self._tee_completion(
-                server.completion_sink
-            )
-
-    def bind_topology(self, topology) -> None:
-        """Overlay the tree; re-carve the pools for row placement."""
-        super().bind_topology(topology)
-        if self.placement != "row":
-            return
-        rows = [
-            node
-            for node in topology.nodes.values()
-            if node.kind == "row"
-        ]
-        require(len(rows) > 0, "row placement needs a tree with row nodes")
-        suspect_ids = {
-            self.rack.servers[row.stop - 1].server_id
-            for row in rows
-        }
-        suspect = [
-            s for s in self.rack.servers if s.server_id in suspect_ids
-        ]
-        innocent = [
-            s for s in self.rack.servers if s.server_id not in suspect_ids
-        ]
-        require(
-            len(innocent) > 0,
-            "row placement must leave at least one innocent server",
-        )
-        self._build_pools(innocent, suspect)
-
-    def _build_pools(
-        self, innocent: Sequence[Server], suspect: Sequence[Server]
-    ) -> None:
-        """(Re)build the forwarding policy and RPM over a pool carve.
-
-        Called once at :meth:`bind` and possibly again at
-        :meth:`bind_topology` — the simulation facade asks for the
-        forwarding policy only after both, so the NLB always sees the
-        final carve.
-        """
-        clock = self.engine.clock
+        if self.placement == "row" and topology is not None:
+            innocent, suspect = self._row_carve(topology)
+        else:
+            innocent, suspect = split_pools(rack.servers, self.suspect_pool_size)
+        clock = engine.clock
         self._install(
             DynamicSuspectPolicy(
                 self.extractor,
                 innocent,
                 suspect,
                 now=lambda: clock._now,  # read per arrival: skip the property
-                obs=self.engine.obs,
+                obs=engine.obs,
             )
         )
+        for server in rack.servers:
+            server.completion_sink = self._tee_completion(
+                server.completion_sink
+            )
+
+    def _row_carve(self, topology) -> Tuple[List[Server], List[Server]]:
+        """(innocent, suspect) with the last server of every row isolated."""
+        last = {n.stop - 1 for n in topology.nodes.values() if n.kind == "row"}
+        require(len(last) > 0, "row placement needs a tree with row nodes")
+        servers = self.rack.servers
+        innocent = [s for i, s in enumerate(servers) if i not in last]
+        require(
+            len(innocent) > 0,
+            "row placement must leave at least one innocent server",
+        )
+        return innocent, [servers[i] for i in sorted(last)]
 
     def _tee_completion(self, original):
         """Wrap a server's completion sink with the attribution tap.

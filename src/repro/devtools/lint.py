@@ -5,8 +5,6 @@ Usage::
     python -m repro lint src/repro                 # text report
     python -m repro lint src/repro --format json
     python -m repro lint src/repro --format sarif --out lint.sarif
-    python -m repro lint src/repro --baseline lint-baseline.json
-    python -m repro lint src/repro --write-baseline lint-baseline.json
     python -m repro lint src/repro --rules REP009,REP010
     python -m repro lint --list-rules
 
@@ -15,9 +13,9 @@ flags (kept because ``scripts/check.sh`` and docs referenced it long
 before the main CLI grew a ``lint`` subcommand; both paths call the
 same :func:`run`).
 
-Exit status: 0 when no finding survives suppression *and* the
-baseline, 1 otherwise, 2 on usage errors.  ``scripts/check.sh`` runs
-this ahead of the tier-1 test suite, and
+Exit status: 0 when no finding survives the inline
+``# repro: ignore[REPxxx]`` pragmas, 1 otherwise, 2 on usage errors.
+``scripts/check.sh`` runs this ahead of the tier-1 test suite, and
 ``tests/test_static_analysis.py`` enforces a zero-finding tree as a
 tier-1 gate.
 """
@@ -32,7 +30,6 @@ from . import dataflow as _dataflow  # noqa: F401  (importing registers the rule
 from . import reachability as _reachability  # noqa: F401
 from . import registries as _registries  # noqa: F401
 from . import rules as _rules  # noqa: F401
-from .baseline import load_baseline, render_baseline, unbaselined
 from .engine import lint_paths, registered_rules, render_json, render_text
 from .sarif import render_sarif
 
@@ -57,18 +54,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings fingerprinted in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write current findings to FILE as the new baseline and exit 0",
     )
     parser.add_argument(
         "--out",
@@ -110,27 +95,6 @@ def run(
         parser.error(str(exc))
     except OSError as exc:  # unreadable / nonexistent path
         parser.error(f"cannot read {exc.filename or 'path'}: {exc.strerror}")
-
-    if options.write_baseline is not None:
-        with open(options.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(render_baseline(findings))
-        print(
-            f"wrote {len(findings)} finding(s) to baseline "
-            f"{options.write_baseline}"
-        )
-        return 0
-
-    if options.baseline is not None:
-        try:
-            with open(options.baseline, "r", encoding="utf-8") as handle:
-                baseline = load_baseline(handle.read())
-        except OSError as exc:
-            parser.error(
-                f"cannot read baseline {options.baseline}: {exc.strerror}"
-            )
-        except ValueError as exc:
-            parser.error(f"bad baseline {options.baseline}: {exc}")
-        findings = unbaselined(findings, baseline)
 
     if options.format == "json":
         report = render_json(findings)

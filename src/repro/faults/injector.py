@@ -1,8 +1,10 @@
 """Fault injector: arms a :class:`~repro.faults.plan.FaultPlan`.
 
 The injector is the bridge between a pure-data fault plan and a live
-:class:`~repro.sim.simulation.DataCenterSimulation`.  :meth:`arm` does
-two things:
+:class:`~repro.sim.simulation.DataCenterSimulation`.  :meth:`arm` first
+checks every event against the simulation (not in its past, a crash
+target inside the rack, a scoped trip on a tree that has the node) and
+then does two things:
 
 * attaches a :class:`~repro.power.sensor.FaultyPowerSensor` between the
   rack and the scheme (noise drawn from ``SeedSequence([seed, 1])``, a
@@ -58,11 +60,11 @@ class FaultInjector:
         Bounded-staleness window handed to the schemes' sensor fallback:
         meter readings older than this make the scheme assume worst-case
         nameplate draw.
-    attach_sensor:
-        When True (default) the scheme's power observations are routed
-        through the faultable sensor even if the plan contains no meter
-        faults — keeping the observation path identical across the
-        faulted and unfaulted arms of a comparison.
+
+    The scheme's power observations are always routed through the
+    faultable sensor, even when the plan contains no meter faults, so
+    the observation path is identical across the faulted and unfaulted
+    arms of a comparison.
     """
 
     def __init__(
@@ -70,13 +72,11 @@ class FaultInjector:
         sim: "DataCenterSimulation",
         plan: FaultPlan,
         staleness_bound_s: float = 5.0,
-        attach_sensor: bool = True,
     ) -> None:
         check_positive("staleness_bound_s", staleness_bound_s)
         self.sim = sim
         self.plan = plan
         self.staleness_bound_s = float(staleness_bound_s)
-        self._attach_sensor = attach_sensor
         self.sensor: FaultyPowerSensor = FaultyPowerSensor(
             sim.rack,
             rng=np.random.default_rng(
@@ -90,20 +90,50 @@ class FaultInjector:
     # Lifecycle
     # ------------------------------------------------------------------
     def arm(self) -> None:
-        """Attach the sensor and schedule every plan event (once)."""
+        """Check the plan, attach the sensor and schedule every event (once).
+
+        An event the simulation cannot apply raises ``ValueError`` naming
+        its index, kind and target before anything is attached or
+        scheduled, and the injector stays unarmed.
+        """
         if self._armed:
             raise RuntimeError("fault injector already armed")
+        for index, event in enumerate(self.plan.events):
+            problem = self._problem(event)
+            if problem:
+                target = event.node or event.target
+                raise ValueError(
+                    f"fault event {index} ({event.kind.value}, target "
+                    f"{target!r}): {problem}"
+                )
         self._armed = True
-        if self._attach_sensor:
-            self.sim.scheme.attach_power_sensor(
-                self.sensor, staleness_bound_s=self.staleness_bound_s
-            )
+        self.sim.scheme.attach_power_sensor(
+            self.sensor, staleness_bound_s=self.staleness_bound_s
+        )
         for event in self.plan.events:
             self.sim.engine.schedule_at(
                 event.time_s,
                 lambda e=event: self._apply(e),
                 priority=PRIORITY_MONITOR,
             )
+
+    def _problem(self, event: FaultEvent) -> str:
+        """Why *event* cannot be applied to the simulation ("" if it can)."""
+        now = self.sim.engine.now
+        if event.time_s < now:
+            return f"time {event.time_s} s is in the past (now {now} s)"
+        num_servers = self.sim.rack.num_servers
+        if event.kind is FaultKind.SERVER_CRASH and not (
+            0 <= event.target < num_servers
+        ):
+            return f"the rack has servers 0..{num_servers - 1}"
+        if event.kind is FaultKind.PDU_TRIP and event.node:
+            topology = self.sim.topology
+            if topology is None:
+                return "a node-scoped trip needs a power tree, not the flat topology"
+            if event.node not in topology.nodes:
+                return f"the power tree has nodes {list(topology.nodes)}"
+        return ""
 
     # ------------------------------------------------------------------
     # Event application
@@ -137,20 +167,14 @@ class FaultInjector:
 
         An un-scoped event keeps the legacy behaviour — every server
         trips (the flat model has exactly one PDU).  A node-scoped event
-        requires the simulation to run a power tree and takes down the
+        (which :meth:`arm` checked against the power tree) takes down the
         named node's subtree only: a row trip cascades into all of its
         racks' servers, the rest of the facility keeps serving.
         """
         if event.node:
-            topology = self.sim.topology
-            if topology is None:
-                raise ValueError(
-                    f"pdu_trip targets node {event.node!r} but the "
-                    "simulation runs the flat topology"
-                )
             victims = [
                 self.sim.rack.servers[i]
-                for i in topology.servers_under(event.node)
+                for i in self.sim.topology.servers_under(event.node)
             ]
             self.sim.obs.counters.inc(f"topology.pdu_trips.{event.node}")
         else:

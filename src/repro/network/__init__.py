@@ -2,13 +2,7 @@
 
 from .fabric import FlowletEcmpFabric, ecmp_path, splitmix64
 from .firewall import NullFirewall, RateLimitFirewall
-from .load_balancer import (
-    LeastLoadedPolicy,
-    NetworkLoadBalancer,
-    RandomPolicy,
-    RetryPolicy,
-    RoundRobinPolicy,
-)
+from .load_balancer import NetworkLoadBalancer, RetryPolicy, RoundRobinPolicy
 from .request import (
     FAULT_OUTCOMES,
     POLICY_OUTCOMES,
@@ -31,8 +25,6 @@ __all__ = [
     "NetworkLoadBalancer",
     "RetryPolicy",
     "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "RandomPolicy",
     "FlowletEcmpFabric",
     "ecmp_path",
     "splitmix64",

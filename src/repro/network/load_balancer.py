@@ -5,7 +5,7 @@ The NLB is the ingress pipeline of the simulated data center:
 ``firewall admission → (optional) admission filter → policy → server``
 
 Forwarding policies are pluggable strategy objects; the conventional
-ones (round-robin, least-loaded, random) live here, while the paper's
+round-robin one lives here, while the paper's
 power-driven forwarding (PDF) lives in :mod:`repro.core.pdf` and plugs
 into the same interface.  Admission filters model NLB-side traffic
 shaping — the Token scheme's power token bucket is one.
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
 
-import numpy as np
-
 from .._validation import check_int, check_non_negative, check_positive, require
 from ..obs import Recorder
 from .firewall import RateLimitFirewall
@@ -26,8 +24,6 @@ from .request import Request, RequestOutcome
 __all__ = [
     "ForwardingPolicy",
     "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "RandomPolicy",
     "AdmissionFilter",
     "RetryPolicy",
     "NetworkLoadBalancer",
@@ -97,27 +93,6 @@ class RoundRobinPolicy:
         server = servers[self._next % len(servers)]
         self._next += 1
         return server
-
-
-class LeastLoadedPolicy:
-    """Forward to the backend with the fewest requests in system."""
-
-    def select(self, request: Request, servers: Sequence[Server]) -> Server:
-        """Return the backend with the fewest requests in system."""
-        require(len(servers) > 0, "no backend servers")
-        return min(servers, key=lambda s: (s.in_system, s.server_id))
-
-
-class RandomPolicy:
-    """Uniform random backend choice (stateless, seedable)."""
-
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(self, request: Request, servers: Sequence[Server]) -> Server:
-        """Return a uniformly random backend."""
-        require(len(servers) > 0, "no backend servers")
-        return servers[int(self.rng.integers(0, len(servers)))]
 
 
 class AdmissionFilter(Protocol):

@@ -9,7 +9,7 @@ requests drag every legitimate request down with them (Figs 7, 16, 17).
 
 from __future__ import annotations
 
-from .manager import PowerManagementScheme, UniformCappingMixin
+from .manager import PowerManagementScheme, highest_guarded_level
 
 __all__ = [
     "CappingScheme",
@@ -17,7 +17,7 @@ __all__ = [
 ]
 
 
-class CappingScheme(UniformCappingMixin, PowerManagementScheme):
+class CappingScheme(PowerManagementScheme):
     """Performance-scaling-only power capping.
 
     Parameters
@@ -28,12 +28,6 @@ class CappingScheme(UniformCappingMixin, PowerManagementScheme):
     """
 
     name = "capping"
-
-    def __init__(self, hysteresis: float = 0.02) -> None:
-        super().__init__()
-        if not 0.0 <= hysteresis < 0.5:
-            raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
-        self.hysteresis = hysteresis
 
     def step(self) -> None:
         """Throttle (or recover) every server to fit the budget."""
@@ -54,30 +48,27 @@ class LocalCappingScheme(PowerManagementScheme):
 
     Included as a comparison arm for the fragmentation ablation; not
     one of the paper's Table-2 schemes.
+
+    Parameters
+    ----------
+    hysteresis:
+        Raise-guard band as a fraction of each server's share.
     """
 
     name = "local-capping"
 
-    def __init__(self, hysteresis: float = 0.02) -> None:
-        super().__init__()
-        if not 0.0 <= hysteresis < 0.5:
-            raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
-        self.hysteresis = hysteresis
-
     def step(self) -> None:
-        """Each server independently fits under its static share."""
+        """Each server independently fits under its static share.
+
+        Levels above the server's current one must fit the guarded
+        share; the current level and below need only fit the share.
+        """
         self._require_bound()
         share = self.budget.supply_w / self.rack.num_servers
         guard = share * (1.0 - self.hysteresis)
+        top = self.rack.ladder.max_level
         for server in self.rack.servers:
-            ladder = server.ladder
-            target = 0
-            for level in range(ladder.max_level, -1, -1):
-                ratio = ladder.ratio(level)
-                types = (e.request.rtype for e in server._active.values())
-                power_w = server.power_model.power(types, ratio)
-                limit = guard if level > server.level else share
-                if power_w <= limit:
-                    target = level
-                    break
-            server.set_level(target)
+            target = highest_guarded_level(
+                server.power_at_level, share, guard, top, server.level
+            )
+            server.set_level(0 if target is None else target)

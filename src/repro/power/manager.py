@@ -10,9 +10,9 @@ whole Table 2 matrix is expressed by swapping one object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .._validation import check_positive
+from .._validation import check_finite, check_positive
 from .battery import Battery
 from .budget import PowerBudget
 from .sensor import SensorReading
@@ -20,7 +20,9 @@ from .sensor import SensorReading
 __all__ = [
     "PowerManagementScheme",
     "NullScheme",
-    "UniformCappingMixin",
+    "check_hysteresis",
+    "highest_fitting_level",
+    "highest_guarded_level",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,6 +34,45 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .sensor import FaultyPowerSensor
 
 
+def check_hysteresis(hysteresis: float) -> float:
+    """Validate a raise-guard band: a fraction of the cap in ``[0, 0.5)``."""
+    check_finite("hysteresis", hysteresis)
+    if not 0.0 <= hysteresis < 0.5:
+        raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis!r}")
+    return float(hysteresis)
+
+
+def highest_fitting_level(
+    power_at: Callable[[int], float], cap_w: float, top: int, bottom: int = 0
+) -> Optional[int]:
+    """The first level, scanning from *top* down to *bottom*, that fits.
+
+    A level fits when ``power_at(level) <= cap_w``.  This is the DVFS
+    search every capping controller shares; ``power_at`` is called once
+    per level tried, in descending order, and not past the first fit.
+    Returns ``None`` when no level in the range fits (an empty range
+    included).
+    """
+    for level in range(top, bottom - 1, -1):
+        if power_at(level) <= cap_w:
+            return level
+    return None
+
+
+def highest_guarded_level(
+    power_at: Callable[[int], float],
+    cap_w: float,
+    guard_w: float,
+    top: int,
+    current: int,
+) -> Optional[int]:
+    """Highest level that fits *cap_w*; one above *current* must fit *guard_w*."""
+    level = highest_fitting_level(power_at, guard_w, top, current + 1)
+    if level is None:
+        level = highest_fitting_level(power_at, cap_w, current)
+    return level
+
+
 class PowerManagementScheme:
     """Base class for Table 2 schemes.
 
@@ -39,12 +80,26 @@ class PowerManagementScheme:
     optionally :meth:`forwarding_policy` / :meth:`admission_filter` to
     hook the NLB.  :meth:`bind` wires in the shared infrastructure and
     may be extended, but subclasses must call ``super().bind(...)``.
+
+    The base is also the one capping controller: it predicts power at a
+    DVFS level (:meth:`predict_power_at_level`), finds the highest level
+    that fits a cap (:meth:`highest_level_within`) and applies it to the
+    whole rack (:meth:`apply_uniform_cap`).
+
+    Parameters
+    ----------
+    hysteresis:
+        Raise-guard band as a fraction of the cap: a controller raises a
+        level only when the predicted power stays below
+        ``cap × (1 − hysteresis)``, so it does not chatter between
+        adjacent levels around the cap.  Must lie in ``[0, 0.5)``.
     """
 
     #: Human-readable scheme name (Table 2 key).
     name: str = "base"
 
-    def __init__(self) -> None:
+    def __init__(self, hysteresis: float = 0.02) -> None:
+        self.hysteresis = check_hysteresis(hysteresis)
         self.engine: Optional[EventEngine] = None
         self.rack: Optional[Rack] = None
         self.budget: Optional[PowerBudget] = None
@@ -68,8 +123,18 @@ class PowerManagementScheme:
         budget: PowerBudget,
         battery: Optional[Battery],
         slot_s: float,
+        topology: Optional[PowerTopology] = None,
     ) -> None:
-        """Attach the scheme to the simulated infrastructure."""
+        """Attach the scheme to the simulated infrastructure.
+
+        *topology* overlays a power tree on the rack (``None`` for the
+        flat model).  The tree adds the per-PDU protection sweep to
+        every control slot (when the spec opts in): after the scheme's
+        own step, each rack and row node whose subtree still exceeds its
+        budget gets capped independently — PDU protection belongs to the
+        infrastructure, so it runs under every scheme including
+        :class:`NullScheme`.
+        """
         if self.bound:
             raise RuntimeError(f"scheme {self.name!r} already bound")
         self.engine = engine
@@ -77,20 +142,8 @@ class PowerManagementScheme:
         self.budget = budget
         self.battery = battery
         self.slot_s = float(slot_s)
-        self.bound = True
-
-    def bind_topology(self, topology: "PowerTopology") -> None:
-        """Overlay a power tree on the bound rack.
-
-        The tree adds the per-PDU protection sweep to every control
-        slot (when the spec opts in): after the scheme's own step, each
-        rack and row node whose subtree still exceeds its budget gets
-        capped independently — PDU protection belongs to the
-        infrastructure, so it runs under every scheme including
-        :class:`NullScheme`.
-        """
-        self._require_bound()
         self.topology = topology
+        self.bound = True
 
     def step(self) -> None:
         """One control-slot action.  Default: do nothing."""
@@ -124,9 +177,7 @@ class PowerManagementScheme:
     # ------------------------------------------------------------------
     # NLB hooks
     # ------------------------------------------------------------------
-    def forwarding_policy(
-        self, servers: Sequence["Server"]
-    ) -> Optional[ForwardingPolicy]:
+    def forwarding_policy(self) -> Optional[ForwardingPolicy]:
         """Scheme-specific NLB policy, or ``None`` for the default."""
         return None
 
@@ -185,36 +236,62 @@ class PowerManagementScheme:
         counters.inc("power.sensor_worst_case_fallbacks")
         return self.rack.nameplate_w
 
-    def deficit(self) -> float:
-        """Watts above budget right now (zero when compliant)."""
-        self._require_bound()
-        return self.budget.deficit(self.current_power())
-
     def predict_power_at_level(
         self, level: int, servers: Optional[Sequence["Server"]] = None
     ) -> float:
-        """Rack power if *servers* (default: all) moved to *level* now.
+        """Power of *servers* (default: the whole rack) if all moved to *level* now.
 
         Uses the servers' actual in-service request types, so the
         prediction is exact for the current instant — the idealised
         model-based capping controller the paper assumes RAPL provides.
+        Like the planner's model it ignores health: a crashed server
+        predicts as its idle floor.
         """
         self._require_bound()
         self.engine.obs.counters.inc("power.prediction_evals")
-        pool = self.rack.servers if servers is None else list(servers)
-        pool_ids = {s.server_id for s in pool}
         clamped = self.rack.ladder.clamp(level)
         total = 0.0
-        for server in self.rack.servers:
-            if server.server_id in pool_ids:
-                # Count-based prediction against the cached physics
-                # rows; like the per-type iteration it replaces, this
-                # deliberately ignores health (a crashed pool server
-                # predicts as its idle floor).
-                total += server.power_at_level(clamped)
-            else:
-                total += server.current_power()
+        for server in self.rack.servers if servers is None else servers:
+            total += server.power_at_level(clamped)
         return total
+
+    def highest_level_within(
+        self,
+        cap_w: float,
+        servers: Optional[Sequence["Server"]] = None,
+    ) -> int:
+        """Highest uniform level keeping *servers*' predicted power ≤ *cap_w*.
+
+        *servers* defaults to the whole rack.  Returns 0 (deepest
+        throttle) when even the bottom of the ladder cannot satisfy the
+        cap — power is then idle-floor dominated.
+        """
+        self._require_bound()
+        level = highest_fitting_level(
+            lambda candidate: self.predict_power_at_level(candidate, servers),
+            cap_w,
+            self.rack.ladder.max_level,
+        )
+        return 0 if level is None else level
+
+    def apply_uniform_cap(self, cap_w: float) -> int:
+        """Move every server to the best uniform level for *cap_w*.
+
+        Returns the level chosen.  Raising frequency above the rack's
+        current (lowest) level only happens when the predicted power at
+        the higher level stays below the cap minus the hysteresis band.
+        """
+        self._require_bound()
+        current = min(s.level for s in self.rack.servers)
+        target = self.highest_level_within(cap_w)
+        if target > current:
+            guard = cap_w * (1.0 - self.hysteresis)
+            raised = highest_fitting_level(
+                self.predict_power_at_level, guard, target, current + 1
+            )
+            target = current if raised is None else raised
+        self.rack.set_all_levels(target)
+        return target
 
     # ------------------------------------------------------------------
     # Hierarchical (per-PDU) protection
@@ -237,55 +314,10 @@ class PowerManagementScheme:
             if power_w <= node.budget_w:
                 continue
             counters.inc(f"topology.cap_slots.{node.name}")
-            target = self.highest_level_within_subtree(node.budget_w, servers)
+            target = self.highest_level_within(node.budget_w, servers)
             for server in servers:
                 if server.level > target:
                     server.set_level(target)
-
-    def predict_subtree_power_at_level(
-        self, level: int, servers: Sequence["Server"]
-    ) -> float:
-        """Power of *servers* alone if all moved to *level* now.
-
-        The subtree analogue of :meth:`predict_power_at_level`: sums
-        only the given servers (a per-PDU budget constrains its own
-        subtree, not the rack), and like it deliberately ignores health.
-        """
-        self._require_bound()
-        self.engine.obs.counters.inc("power.prediction_evals")
-        clamped = self.rack.ladder.clamp(level)
-        total = 0.0
-        for server in servers:
-            total += server.power_at_level(clamped)
-        return total
-
-    def highest_level_within_subtree(
-        self, cap_w: float, servers: Sequence["Server"]
-    ) -> int:
-        """Highest uniform level keeping *servers*' power ≤ *cap_w*."""
-        self._require_bound()
-        ladder = self.rack.ladder
-        for level in range(ladder.max_level, -1, -1):
-            if self.predict_subtree_power_at_level(level, servers) <= cap_w:
-                return level
-        return 0
-
-    def highest_level_within(
-        self,
-        cap_w: float,
-        servers: Optional[Sequence["Server"]] = None,
-    ) -> int:
-        """Highest uniform level keeping predicted rack power ≤ *cap_w*.
-
-        Returns 0 (deepest throttle) when even the bottom of the ladder
-        cannot satisfy the cap — power is then idle-floor dominated.
-        """
-        self._require_bound()
-        ladder = self.rack.ladder
-        for level in range(ladder.max_level, -1, -1):
-            if self.predict_power_at_level(level, servers) <= cap_w:
-                return level
-        return 0
 
 
 class NullScheme(PowerManagementScheme):
@@ -293,44 +325,5 @@ class NullScheme(PowerManagementScheme):
 
     name = "none"
 
-
-class UniformCappingMixin:
-    """Shared "pick a uniform V/F level to satisfy a cap" step logic.
-
-    Both Capping and the DVFS tail of Shaving need the same action:
-    choose the highest ladder level whose predicted power fits under a
-    cap and apply it to a server set, with a small hysteresis band so
-    the controller does not chatter between adjacent levels.
-    """
-
-    #: Fraction of the budget kept as a raise-guard band.
-    hysteresis: float = 0.02
-
-    def apply_uniform_cap(
-        self,
-        cap_w: float,
-        servers: Optional[Sequence["Server"]] = None,
-    ) -> int:
-        """Move *servers* to the best uniform level for *cap_w*.
-
-        Returns the level chosen.  Raising frequency only happens when
-        the predicted power at the higher level stays below the cap
-        minus the hysteresis band.
-        """
-        self._require_bound()  # type: ignore[attr-defined]
-        rack: Rack = self.rack  # type: ignore[attr-defined]
-        pool = rack.servers if servers is None else list(servers)
-        if not pool:
-            return rack.ladder.max_level
-        current = min(s.level for s in pool)
-        target = self.highest_level_within(cap_w, pool)  # type: ignore[attr-defined]
-        if target > current:
-            # Raising: demand a hysteresis margin to avoid chatter.
-            guard = cap_w * (1.0 - self.hysteresis)
-            while target > current and self.predict_power_at_level(  # type: ignore[attr-defined]
-                target, pool
-            ) > guard:
-                target -= 1
-        for server in pool:
-            server.set_level(target)
-        return target
+    def __init__(self) -> None:
+        super().__init__()  # no controller here reads the hysteresis band

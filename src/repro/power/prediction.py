@@ -32,11 +32,11 @@ counter makes that window measurable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .._validation import check_fraction, check_positive, require
 from ..network.request import Request
-from .manager import PowerManagementScheme, UniformCappingMixin
+from .manager import PowerManagementScheme
 from .token_bucket import PowerTokenBucket
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
     "TIER_SOFT",
     "TIER_HARD",
 ]
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
 
 #: Graded throttle-tier names (reported per slot and in :meth:`report`).
 TIER_HEALTHY = "healthy"
@@ -161,7 +158,7 @@ class PredictedHeadroomFilter(PowerTokenBucket):
         self.refill_rate_w = max(1e-6, float(rate_w))
 
 
-class PredictionScheme(UniformCappingMixin, PowerManagementScheme):
+class PredictionScheme(PowerManagementScheme):
     """Prediction-based oversubscription (Table 2, sixth row).
 
     Every control slot feeds the sensed rack power into the
@@ -226,7 +223,7 @@ class PredictionScheme(UniformCappingMixin, PowerManagementScheme):
         burst_s: float = 2.0,
         hysteresis: float = 0.02,
     ) -> None:
-        super().__init__()
+        super().__init__(hysteresis)
         check_fraction("quantile", quantile, inclusive=False)
         check_positive("horizon_s", horizon_s)
         check_fraction("warn_fraction", warn_fraction, inclusive=False)
@@ -242,7 +239,6 @@ class PredictionScheme(UniformCappingMixin, PowerManagementScheme):
             f"oversubscription_gain must be >= 0, got {oversubscription_gain}",
         )
         check_positive("burst_s", burst_s)
-        check_fraction("hysteresis", hysteresis)
         self.quantile = float(quantile)
         self.horizon_s = float(horizon_s)
         self.warn_fraction = float(warn_fraction)
@@ -251,7 +247,6 @@ class PredictionScheme(UniformCappingMixin, PowerManagementScheme):
         self.ramp_down_fraction = float(ramp_down_fraction)
         self.oversubscription_gain = float(oversubscription_gain)
         self.burst_s = float(burst_s)
-        self.hysteresis = float(hysteresis)
         self.predictor: Optional[PowerHistoryPredictor] = None
         self.filter: Optional[PredictedHeadroomFilter] = None
         self.last_tier: str = TIER_HARD
@@ -259,9 +254,9 @@ class PredictionScheme(UniformCappingMixin, PowerManagementScheme):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def bind(self, engine, rack, budget, battery, slot_s) -> None:
+    def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
         """Attach infrastructure; size the predictor and the bucket."""
-        super().bind(engine, rack, budget, battery, slot_s)
+        super().bind(engine, rack, budget, battery, slot_s, topology)
         nameplate_w = rack.nameplate_w
         self.predictor = PowerHistoryPredictor(
             quantile=self.quantile,

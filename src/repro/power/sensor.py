@@ -29,7 +29,6 @@ from .._validation import check_non_negative, check_positive
 
 __all__ = [
     "SensorReading",
-    "TruePowerSensor",
     "FaultyPowerSensor",
 ]
 
@@ -46,17 +45,6 @@ class SensorReading(NamedTuple):
     power_w: float
     time_s: float
     ok: bool
-
-
-class TruePowerSensor:
-    """Fault-free sensor: the rack's exact instantaneous power."""
-
-    def __init__(self, rack) -> None:
-        self._rack = rack
-
-    def read(self, now: float) -> SensorReading:
-        """Exact rack power, timestamped *now*."""
-        return SensorReading(self._rack.total_power(), now, True)
 
 
 class FaultyPowerSensor:

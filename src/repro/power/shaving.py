@@ -11,12 +11,12 @@ scheme degenerates into Capping with a delay.
 
 from __future__ import annotations
 
-from .manager import PowerManagementScheme, UniformCappingMixin
+from .manager import PowerManagementScheme
 
 __all__ = ["ShavingScheme"]
 
 
-class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
+class ShavingScheme(PowerManagementScheme):
     """UPS-first peak shaving with a DVFS fallback.
 
     Parameters
@@ -48,7 +48,7 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
         hysteresis: float = 0.02,
         full_carry: bool = True,
     ) -> None:
-        super().__init__()
+        super().__init__(hysteresis)
         if not 0.0 <= recharge_headroom_fraction <= 1.0:
             raise ValueError(
                 "recharge_headroom_fraction must be in [0, 1], "
@@ -56,16 +56,13 @@ class ShavingScheme(UniformCappingMixin, PowerManagementScheme):
             )
         if not 0.0 <= soc_reserve < 1.0:
             raise ValueError(f"soc_reserve must be in [0, 1), got {soc_reserve}")
-        if not 0.0 <= hysteresis < 0.5:
-            raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis}")
         self.recharge_headroom_fraction = recharge_headroom_fraction
         self.soc_reserve = soc_reserve
-        self.hysteresis = hysteresis
         self.full_carry = full_carry
 
-    def bind(self, engine, rack, budget, battery, slot_s) -> None:
+    def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
         """Attach infrastructure; Shaving additionally requires a battery."""
-        super().bind(engine, rack, budget, battery, slot_s)
+        super().bind(engine, rack, budget, battery, slot_s, topology)
         if self.battery is None:
             raise ValueError("ShavingScheme requires a battery")
 

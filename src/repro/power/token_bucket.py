@@ -113,9 +113,9 @@ class TokenScheme(PowerManagementScheme):
         self.safety_factor = float(safety_factor)
         self.bucket: Optional[PowerTokenBucket] = None
 
-    def bind(self, engine, rack, budget, battery, slot_s) -> None:
+    def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
         """Attach infrastructure and size the bucket from the budget."""
-        super().bind(engine, rack, budget, battery, slot_s)
+        super().bind(engine, rack, budget, battery, slot_s, topology)
         idle_floor = rack.idle_floor()
         refill = max(1e-6, (budget.supply_w - idle_floor) * self.safety_factor)
         model = rack.power_model

@@ -147,10 +147,13 @@ class DataCenterSimulation:
 
         self.scheme = scheme or NullScheme()
         self.scheme.bind(
-            self.engine, self.rack, self.budget, self.battery, config.slot_s
+            self.engine,
+            self.rack,
+            self.budget,
+            self.battery,
+            config.slot_s,
+            self.topology,
         )
-        if self.topology is not None:
-            self.scheme.bind_topology(self.topology)
 
         if config.use_firewall:
             self.firewall: RateLimitFirewall = RateLimitFirewall(
@@ -165,7 +168,7 @@ class DataCenterSimulation:
         # Scheme-specific policies (Anti-DOPE's PDF) win; otherwise a
         # tree forwards through the ECMP/flowlet fabric and the flat
         # model keeps its single-NLB rotation.
-        policy = self.scheme.forwarding_policy(self.rack.servers)
+        policy = self.scheme.forwarding_policy()
         if policy is None and spec is not None:
             self.fabric = FlowletEcmpFabric(
                 num_racks=spec.num_racks,

@@ -28,7 +28,7 @@ class SharedBinding:
     def bound(self, engine, rack, battery=None, **options):
         scheme = self.make(**options)
         scheme.bind(engine, rack, PowerBudget(320.0), battery, 1.0)
-        return scheme, scheme.forwarding_policy(rack.servers)
+        return scheme, scheme.forwarding_policy()
 
     def test_suspect_queue_regulation_applied(self, engine, rack):
         _, policy = self.bound(engine, rack, suspect_queue_factor=3.0)
@@ -53,8 +53,9 @@ class SharedBinding:
             self.make(suspect_pool_size=0)
         with pytest.raises(ValueError):
             self.make(suspect_queue_factor=0.5)
-        with pytest.raises(ValueError):
-            self.make(hysteresis=1.5)
+        for hysteresis in (0.5, 0.7, 1.5):
+            with pytest.raises(ValueError):
+                self.make(hysteresis=hysteresis)
 
 
 class TestBinding(SharedBinding):
@@ -75,7 +76,7 @@ class TestBinding(SharedBinding):
     def test_pdf_policy_exposed_as_forwarding_policy(self, engine, rack):
         scheme = AntiDopeScheme(suspect_pool_size=2)
         scheme.bind(engine, rack, PowerBudget(320.0), None, 1.0)
-        policy = scheme.forwarding_policy(rack.servers)
+        policy = scheme.forwarding_policy()
         assert policy is scheme.policy
         assert scheme.suspect_server_ids == [2, 3]
 

@@ -109,7 +109,7 @@ class TestBinding:
 
     def test_no_nlb_hooks(self, engine, rack):
         scheme = bind(CappingScheme(), engine, rack, supply_w=400.0)
-        assert scheme.forwarding_policy(rack.servers) is None
+        assert scheme.forwarding_policy() is None
         assert scheme.admission_filter() is None
 
 

@@ -77,7 +77,6 @@ def test_lint_job_runs_all_three_linters(workflow):
     runs = _run_lines(workflow["jobs"]["lint"])
     assert "python -m repro lint src/repro" in runs
     assert "--format sarif" in runs
-    assert "--baseline lint-baseline.json" in runs
     assert "ruff check" in runs
     assert "mypy" in runs
 
@@ -134,6 +133,8 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     # references: the fabric's rack indexing and the memoised watts.
     assert "tests/test_fabric_fast_path.py" in runs
     assert "tests/test_watts_memo.py" in runs
+    # The capping controller against copies of its old search loops.
+    assert "tests/test_capping_controller.py" in runs
     # Cross-engine identity must exercise the process pool too.
     assert "REPRO_BENCH_ENGINE=scalar" in runs
     assert "REPRO_BENCH_ENGINE=batched" in runs
@@ -187,7 +188,6 @@ def test_ci_commands_reference_only_existing_paths(workflow):
     root = Path(__file__).parent.parent
     assert (root / "scripts" / "check.sh").is_file()
     assert (root / "perfbench" / "run.py").is_file()
-    assert (root / "lint-baseline.json").is_file()
     for job in workflow["jobs"].values():
         for line in _run_lines(job).splitlines():
             if "tests/test_" in line:

@@ -1,8 +1,7 @@
 """Tests for the devtools v2 analysis suite.
 
 Covers the project-scope engine (crash isolation, cross-module
-analysis), the REP009 dimension algebra, the baseline workflow, SARIF
-rendering, the ``repro lint`` CLI surface, and the runtime contracts
+analysis), the REP009 dimension algebra, SARIF rendering, the ``repro lint`` CLI surface, and the runtime contracts
 the new rules enforce (obs name registry, outcome partition).
 """
 
@@ -10,8 +9,6 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.devtools import (
     Finding,
@@ -21,12 +18,6 @@ from repro.devtools import (
     lint_project,
     lint_source,
     load_module,
-)
-from repro.devtools.baseline import (
-    fingerprint,
-    load_baseline,
-    render_baseline,
-    unbaselined,
 )
 from repro.devtools.dimensions import (
     DIMENSIONLESS,
@@ -196,50 +187,13 @@ def test_rep009_catches_seeded_power_plus_energy():
 
 
 # ---------------------------------------------------------------------------
-# Baseline workflow.
+# SARIF rendering.
 # ---------------------------------------------------------------------------
 
 
 def _finding(path="src/repro/x.py", line=3, rule="REP009", message="m"):
     return Finding(path=path, line=line, col=0, rule=rule, message=message)
 
-
-def test_baseline_round_trip_ignores_line_numbers():
-    before = _finding(line=3)
-    baseline = load_baseline(render_baseline([before]))
-    moved = _finding(line=42)  # same finding, shifted by an edit above it
-    assert unbaselined([moved], baseline) == []
-    novel = _finding(message="a different defect")
-    assert unbaselined([novel], baseline) == [novel]
-
-
-def test_baseline_fingerprint_is_path_rule_message():
-    assert fingerprint(_finding()) == ("src/repro/x.py", "REP009", "m")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        "[]",
-        '{"version": 99, "findings": []}',
-        '{"version": 1, "findings": {}}',
-        '{"version": 1, "findings": [{"path": "p"}]}',
-    ],
-)
-def test_baseline_rejects_malformed_documents(text):
-    with pytest.raises(ValueError):
-        load_baseline(text)
-
-
-def test_checked_in_baseline_is_empty_and_loadable():
-    text = (REPO_ROOT / "lint-baseline.json").read_text(encoding="utf-8")
-    assert load_baseline(text) == set()
-
-
-# ---------------------------------------------------------------------------
-# SARIF rendering.
-# ---------------------------------------------------------------------------
 
 
 def test_sarif_document_shape_and_rule_metadata():
@@ -264,7 +218,7 @@ def test_sarif_output_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# CLI: formats, baseline flags, the `repro lint` subcommand and alias.
+# CLI: formats, the `repro lint` subcommand and alias.
 # ---------------------------------------------------------------------------
 
 
@@ -287,29 +241,6 @@ def test_cli_sarif_exit_one_on_violation(capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"][0]["results"]
-
-
-def test_cli_write_baseline_then_suppress(tmp_path, capsys):
-    target = str(FIXTURES / "rep011_violation.py")
-    baseline_file = tmp_path / "baseline.json"
-
-    rc = lint_main(
-        [target, "--rules", "REP011", "--write-baseline", str(baseline_file)]
-    )
-    assert rc == 0
-    expected = (FIXTURES / "rep011_violation.py").read_text().count("# VIOLATION")
-    assert f"wrote {expected} finding(s)" in capsys.readouterr().out
-
-    # the same findings are now suppressed...
-    rc = lint_main(
-        [target, "--rules", "REP011", "--baseline", str(baseline_file)]
-    )
-    assert rc == 0
-    # ...but an empty baseline suppresses nothing
-    empty = tmp_path / "empty.json"
-    empty.write_text('{"version": 1, "findings": []}', encoding="utf-8")
-    rc = lint_main([target, "--rules", "REP011", "--baseline", str(empty)])
-    assert rc == 1
 
 
 def test_cli_out_flag_writes_report_file(tmp_path, capsys):

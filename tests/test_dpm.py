@@ -105,5 +105,6 @@ class TestValidation:
             planner.plan(-1.0, lambda p, q: 0.0, 12, 12)
 
     def test_invalid_hysteresis_rejected(self):
-        with pytest.raises(ValueError):
-            DPMPlanner(max_level=12, hysteresis=1.5)
+        for hysteresis in (0.5, 0.7, 1.5):
+            with pytest.raises(ValueError):
+                DPMPlanner(max_level=12, hysteresis=hysteresis)

@@ -23,7 +23,7 @@ from repro.network import (
 )
 from repro.power import Battery, BudgetLevel, PowerBudget
 from repro.power.manager import NullScheme
-from repro.power.sensor import FaultyPowerSensor, TruePowerSensor
+from repro.power.sensor import FaultyPowerSensor
 from repro.workloads import COLLA_FILT, TEXT_CONT, TrafficClass, uniform_mix
 
 
@@ -234,12 +234,6 @@ class TestNLBDegradation:
 
 
 class TestPowerSensor:
-    def test_true_sensor_reports_rack_power(self, rack):
-        sensor = TruePowerSensor(rack)
-        reading = sensor.read(1.0)
-        assert reading.ok
-        assert reading.power_w == rack.total_power()
-
     def test_unfaulted_sensor_is_exact(self, rack):
         sensor = FaultyPowerSensor(rack, rng=np.random.default_rng(0))
         assert sensor.read(0.0).power_w == rack.total_power()
@@ -400,6 +394,37 @@ class TestFaultInjector:
         sim, injector = faulted_sim()
         with pytest.raises(RuntimeError):
             injector.arm()
+
+    def test_arm_rejects_crash_target_outside_the_rack(self):
+        sim = DataCenterSimulation(SimulationConfig(seed=1), scheme=NullScheme())
+        plan = FaultPlan(seed=1).meter_noise(2.0, 1.0).server_crash(5.0, 9, 3.0)
+        with pytest.raises(ValueError, match=r"event 1 \(server_crash, target 9\)"):
+            FaultInjector(sim, plan).arm()
+        assert sim.scheme.power_sensor is None
+
+    @pytest.mark.parametrize(
+        "topology, node", [("flat", "row0"), ("tree-small", "row7")]
+    )
+    def test_arm_rejects_trip_of_a_node_the_topology_lacks(self, topology, node):
+        config = SimulationConfig.for_topology(topology, seed=1)
+        sim = DataCenterSimulation(config, scheme=NullScheme())
+        plan = FaultPlan(seed=1).pdu_trip(5.0, 3.0, node=node)
+        with pytest.raises(ValueError, match=f"event 0 \\(pdu_trip, target '{node}'\\)"):
+            FaultInjector(sim, plan).arm()
+        assert sim.scheme.power_sensor is None
+
+    def test_arm_rejects_past_event_and_schedules_nothing(self):
+        sim = DataCenterSimulation(SimulationConfig(seed=1), scheme=NullScheme())
+        sim.add_normal_traffic(rate_rps=40.0)
+        sim.run(5.0)
+        pending = sim.engine.pending()
+        plan = FaultPlan(seed=1).meter_noise(20.0, 1.0).server_crash(1.0, 0, 2.0)
+        injector = FaultInjector(sim, plan)
+        for _ in range(2):  # still unarmed after the first refusal
+            with pytest.raises(ValueError, match=r"event 1 \(server_crash"):
+                injector.arm()
+        assert sim.engine.pending() == pending
+        assert sim.scheme.power_sensor is None
 
     def test_same_seed_faulted_runs_identical(self):
         def signature():

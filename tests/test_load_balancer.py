@@ -4,10 +4,8 @@ import pytest
 
 from repro.metrics import MetricsCollector
 from repro.network import (
-    LeastLoadedPolicy,
     NetworkLoadBalancer,
     NullFirewall,
-    RandomPolicy,
     RateLimitFirewall,
     Request,
     RequestOutcome,
@@ -30,27 +28,6 @@ class TestRoundRobin:
     def test_empty_backends_rejected(self):
         with pytest.raises(ValueError):
             RoundRobinPolicy().select(make_request(), [])
-
-
-class TestLeastLoaded:
-    def test_picks_emptiest(self, rack):
-        rack.servers[0].submit(make_request())
-        rack.servers[1].submit(make_request())
-        policy = LeastLoadedPolicy()
-        assert policy.select(make_request(), rack.servers).server_id == 2
-
-    def test_tie_broken_by_id(self, rack):
-        assert LeastLoadedPolicy().select(make_request(), rack.servers).server_id == 0
-
-
-class TestRandomPolicy:
-    def test_seedable_and_in_range(self, rack):
-        import numpy as np
-
-        policy = RandomPolicy(np.random.default_rng(0))
-        picks = {policy.select(make_request(), rack.servers).server_id for _ in range(50)}
-        assert picks <= {0, 1, 2, 3}
-        assert len(picks) > 1
 
 
 class TestDispatchPipeline:

@@ -109,10 +109,8 @@ class TestSchemeBaseBehaviour:
         sim = DataCenterSimulation(SimulationConfig(seed=1))
         subset = sim.rack.servers[:2]
         predicted = sim.scheme.predict_power_at_level(0, subset)
-        # Two servers throttled to min, two at nominal idle.
-        expected = 2 * sim.rack.power_model.idle_power(0.5) + 2 * (
-            sim.rack.power_model.idle_power(1.0)
-        )
+        # Only the two given servers, throttled to min and idle.
+        expected = 2 * sim.rack.power_model.idle_power(0.5)
         assert predicted == pytest.approx(expected)
 
 

@@ -156,6 +156,8 @@ class TestPredictionScheme:
             PredictionScheme(hard_fraction=0.9)
         with pytest.raises(ValueError):
             PredictionScheme(oversubscription_gain=-1.0)
+        with pytest.raises(ValueError):
+            PredictionScheme(hysteresis=0.5)
 
     def test_benign_run_reaches_healthy_tier_without_drops(self):
         sim = DataCenterSimulation(

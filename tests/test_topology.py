@@ -272,9 +272,8 @@ def test_node_scoped_trip_requires_a_tree():
     cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=1)
     sim = DataCenterSimulation(cfg)
     plan = FaultPlan(seed=1).pdu_trip(1.0, 2.0, node="rack0")
-    FaultInjector(sim, plan).arm()
     with pytest.raises(ValueError, match="flat topology"):
-        sim.run(2.0)
+        FaultInjector(sim, plan).arm()
 
 
 def test_unscoped_trip_keeps_legacy_whole_fleet_semantics():
