@@ -141,7 +141,7 @@ def run_attack_scenario(
     contract keeps byte-identical between scalar and batched, so the
     selection changes wall-clock only.  (These closed-loop floods never
     satisfy the fluid steadiness proof, so even ``fluid`` stays exact
-    here.)
+    here; every run asserts that no fluid segment was integrated.)
     """
     cfg = config or SimulationConfig(budget_level=budget, seed=seed)
     engine_mode, engine_fluid = resolve_engine_selection(
@@ -162,6 +162,7 @@ def run_attack_scenario(
             start_s=ATTACK_START,
         )
     sim.run(duration)
+    assert sim.obs.counters.get("engine.fluid_segments") == 0
     return sim
 
 

@@ -10,7 +10,7 @@ from repro import BudgetLevel, CappingScheme
 from repro.analysis import print_table
 from repro.workloads import TrafficClass
 
-from _support import ATTACK_MIX, run_attack_scenario
+from _support import run_attack_scenario
 
 RATES = (25.0, 50.0, 100.0, 200.0, 400.0)
 DURATION = 180.0

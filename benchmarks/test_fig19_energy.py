@@ -13,7 +13,7 @@ still has to be bought back, with conversion loss).  Paper shapes:
 
 from repro import BudgetLevel
 from repro.analysis import print_table
-from repro.metrics import EnergyReport, normalized_energy
+from repro.metrics import EnergyReport
 
 from _support import BUDGETS, SCHEMES, run_attack_scenario, scheme_budget_matrix
 

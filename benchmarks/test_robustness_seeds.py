@@ -10,7 +10,7 @@ from repro import AntiDopeScheme, BudgetLevel, CappingScheme
 from repro.analysis import print_table, replicate
 from repro.workloads import TrafficClass
 
-from _support import ATTACK_MIX, bench_cache, bench_workers, run_attack_scenario
+from _support import bench_cache, bench_workers, run_attack_scenario
 
 SEEDS = (1, 2, 3, 4, 5)
 DURATION = 180.0

@@ -6,12 +6,11 @@ from .export import (
     detector_summary,
     meter_to_csv,
     records_to_csv,
-    region_delta_summary,
     stats_to_json,
 )
 from .region import DopeRegionAnalyzer, RegionCell, RegionResult
 from .report import format_table, print_table
-from .sweep import GridSweep, MetricSummary, replicate
+from .sweep import MetricSummary, replicate
 
 __all__ = [
     "EmpiricalCDF",
@@ -20,7 +19,6 @@ __all__ = [
     "RegionResult",
     "format_table",
     "print_table",
-    "GridSweep",
     "MetricSummary",
     "replicate",
     "records_to_csv",
@@ -28,5 +26,4 @@ __all__ = [
     "stats_to_json",
     "collector_summary",
     "detector_summary",
-    "region_delta_summary",
 ]

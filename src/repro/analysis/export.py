@@ -22,7 +22,6 @@ from ..power.meter import PowerMeter
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.topology import TopologyMonitor
     from ..power.budget import PowerBudget
-    from .region import RegionResult
 
 __all__ = [
     "records_to_csv",
@@ -30,7 +29,6 @@ __all__ = [
     "stats_to_json",
     "collector_summary",
     "detector_summary",
-    "region_delta_summary",
     "topology_summary",
 ]
 
@@ -181,58 +179,6 @@ def detector_summary(scheme: object) -> Optional[dict]:
     if report is None:
         return None
     return jsonable(report())
-
-
-def region_delta_summary(
-    result_a: "RegionResult",
-    result_b: "RegionResult",
-    label_a: str = "a",
-    label_b: str = "b",
-) -> dict:
-    """JSON-ready fig11 delta between two same-grid region sweeps.
-
-    The scheme-comparison export: given two :class:`RegionResult`\\ s
-    swept over the **same** (type × rate) grid under different schemes,
-    report each side's DOPE-region size and list every cell whose zone
-    classification moved.  A positive ``dope_delta_cells`` means
-    *result_b* leaves more of the plane exploitable than *result_a* —
-    the number the prediction-vs-anti-dope question is answered with.
-
-    Raises :class:`ValueError` when the grids differ: a delta between
-    sweeps of different planes would compare nothing.
-    """
-    key_a = [(c.type_name, c.rate_rps) for c in result_a.cells]
-    key_b = [(c.type_name, c.rate_rps) for c in result_b.cells]
-    if key_a != key_b:
-        raise ValueError(
-            "region results cover different grids: "
-            f"{len(key_a)} vs {len(key_b)} cells or mismatched coordinates"
-        )
-    zone_changes = [
-        {
-            "type": cell_a.type_name,
-            "rate_rps": cell_a.rate_rps,
-            label_a: cell_a.zone,
-            label_b: cell_b.zone,
-        }
-        for cell_a, cell_b in zip(result_a.cells, result_b.cells)
-        if cell_a.zone != cell_b.zone
-    ]
-    dope_a = len(result_a.dope_cells())
-    dope_b = len(result_b.dope_cells())
-    return jsonable(
-        {
-            "labels": [label_a, label_b],
-            "cells": len(result_a.cells),
-            "dope_cells": {label_a: dope_a, label_b: dope_b},
-            "dope_fraction": {
-                label_a: result_a.dope_fraction(),
-                label_b: result_b.dope_fraction(),
-            },
-            "dope_delta_cells": dope_b - dope_a,
-            "zone_changes": zone_changes,
-        }
-    )
 
 
 def collector_summary(collector: MetricsCollector) -> dict:

@@ -20,8 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .._validation import check_int, check_positive, require
 from ..detect import make_scheme, validate_scheme_names
 from ..obs import Recorder

@@ -1,17 +1,11 @@
-"""Parameter sweeps and multi-seed replication.
+"""Multi-seed replication.
 
 The benches pin qualitative shapes from single seeded runs; robust
-claims need replication.  This module provides the two tools the
-robustness benches are built from:
+claims need replication.  :func:`replicate` runs an experiment across
+seeds and summarises any scalar metrics as a :class:`MetricSummary`:
+mean, standard deviation and a normal-theory confidence interval.
 
-* :func:`replicate` — run an experiment across seeds and summarise any
-  scalar metrics with mean, standard deviation and a normal-theory
-  confidence interval;
-* :class:`GridSweep` — run an experiment over a cartesian parameter
-  grid (optionally replicated per cell) and collect results as flat
-  rows ready for :func:`~repro.analysis.report.format_table`.
-
-Both execute their cells through :func:`repro.runner.run_cells`, so
+It executes its cells through :func:`repro.runner.run_cells`, so
 ``workers=N`` fans them out across processes (results merged in
 canonical cell order — output is byte-identical to serial) and
 ``cache=`` makes repeat runs near-instant.  The defaults (``workers=1``,
@@ -21,7 +15,6 @@ lambdas and all.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -35,7 +28,6 @@ from ..runner import CellSpec, ResultCache, default_experiment_id, run_cells
 __all__ = [
     "MetricSummary",
     "replicate",
-    "GridSweep",
 ]
 
 #: experiment(seed) -> {metric_name: value}
@@ -172,106 +164,3 @@ def replicate(
         if outcome.value is not None
     ]
     return _summarise(_collect_metrics(values), len(seeds), z)
-
-
-class GridSweep:
-    """Cartesian sweep over named parameter axes.
-
-    Parameters
-    ----------
-    axes:
-        Mapping of parameter name → values to sweep.
-    """
-
-    def __init__(self, axes: Mapping[str, Sequence]) -> None:
-        require(len(axes) > 0, "GridSweep needs at least one axis")
-        for name, values in axes.items():
-            require(len(values) > 0, f"axis {name!r} has no values")
-        self.axes = {name: list(values) for name, values in axes.items()}
-
-    def points(self) -> List[Dict[str, object]]:
-        """All grid points as parameter dicts, in axis-major order."""
-        names = list(self.axes)
-        return [
-            dict(zip(names, combo))
-            for combo in itertools.product(*(self.axes[n] for n in names))
-        ]
-
-    def run(
-        self,
-        experiment: Callable[..., Mapping[str, float]],
-        seeds: Sequence[int] = (0,),
-        confidence: float = 0.95,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        experiment_id: Optional[str] = None,
-        on_error: str = "raise",
-        recorder: Optional[Recorder] = None,
-    ) -> List[Dict[str, object]]:
-        """Run *experiment(**params, seed=s)* on every cell × seed.
-
-        Returns one row per grid point: the parameters plus each
-        metric's :class:`MetricSummary`.  Cells fan out over
-        ``workers`` processes (grid-point × seed cells all run
-        concurrently); rows come back in grid order regardless.
-
-        ``on_error`` controls failure handling: ``"raise"`` (default)
-        raises the first cell's :class:`~repro.runner.CellError`;
-        ``"keep"`` records errors under each row's ``"errors"`` key and
-        summarises the seeds that did succeed, so one bad cell cannot
-        sink a long sweep.
-        """
-        require(len(seeds) > 0, "need at least one seed")
-        require(on_error in ("raise", "keep"), f"bad on_error {on_error!r}")
-        z = _z_for(confidence)
-        if cache is not None and experiment_id is None:
-            experiment_id = default_experiment_id(experiment)
-
-        points = self.points()
-        specs = []
-        index = 0
-        for params in points:
-            for seed in seeds:
-                specs.append(
-                    CellSpec(
-                        index=index,
-                        params={**params, "seed": int(seed)},
-                        seed=int(seed),
-                    )
-                )
-                index += 1
-        outcomes = run_cells(
-            experiment,
-            specs,
-            workers=workers,
-            cache=cache,
-            experiment_id=experiment_id,
-            recorder=recorder,
-        )
-
-        rows = []
-        n_seeds = len(seeds)
-        for p, params in enumerate(points):
-            cell_outcomes = outcomes[p * n_seeds : (p + 1) * n_seeds]
-            errors = tuple(o.error for o in cell_outcomes if o.error is not None)
-            if errors and on_error == "raise":
-                raise errors[0]
-            values = [
-                (spec.seed, outcome.value)
-                for spec, outcome in zip(
-                    specs[p * n_seeds : (p + 1) * n_seeds], cell_outcomes
-                )
-                if outcome.value is not None
-            ]
-            row: Dict[str, object] = dict(params)
-            row.update(_summarise(_collect_metrics(values), len(values), z))
-            if on_error == "keep":
-                row["errors"] = errors
-            rows.append(row)
-        return rows
-
-    def __len__(self) -> int:
-        n = 1
-        for values in self.axes.values():
-            n *= len(values)
-        return n

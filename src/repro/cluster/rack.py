@@ -10,11 +10,11 @@ total nameplate, per-server level vectors — plus bulk DVFS operations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .._validation import check_int, require
+from .._validation import check_int
 from ..sim.engine import EventEngine
 from .dvfs import FrequencyLadder
 from .power_model import PowerEvalTable, ServerPowerModel
@@ -149,38 +149,6 @@ class Rack:
         """Set every server to the same frequency level."""
         for server in self.servers:
             server.set_level(level)
-
-    def set_levels(self, levels: Sequence[int]) -> None:
-        """Set per-server levels from a vector in rack order."""
-        require(
-            len(levels) == len(self.servers),
-            f"expected {len(self.servers)} levels, got {len(levels)}",
-        )
-        for server, level in zip(self.servers, levels):
-            server.set_level(level)
-
-    def step_all(self, steps: int) -> None:
-        """Step every server up (positive) or down (negative) the ladder."""
-        for server in self.servers:
-            if steps >= 0:
-                server.step_up(steps)
-            else:
-                server.step_down(-steps)
-
-    def subset(self, indices: Iterable[int]) -> List[Server]:
-        """Servers at the given rack positions (used for pool carve-outs)."""
-        servers = []
-        for i in indices:
-            check_int("index", i, minimum=0)
-            if i >= len(self.servers):
-                raise IndexError(f"server index {i} out of range")
-            servers.append(self.servers[i])
-        return servers
-
-    def for_each(self, fn: Callable[[Server], None]) -> None:
-        """Apply *fn* to every server (helper for managers)."""
-        for server in self.servers:
-            fn(server)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

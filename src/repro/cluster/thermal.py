@@ -205,10 +205,6 @@ class ThermalMonitor:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    def temperature_of(self, server: Server) -> float:
-        """Last advanced temperature of *server*."""
-        return self.models[server.server_id].temperature_c
-
     def in_emergency(self, server: Server) -> bool:
         """Whether *server* is currently emergency-throttled."""
         return server.server_id in self._emergency

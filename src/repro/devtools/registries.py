@@ -29,7 +29,7 @@ because the prefix registry exists precisely to declare those).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..obs.contract import TIMER_NAMES, is_declared_counter
 from .engine import Finding, ModuleInfo, ProjectInfo, ProjectRule, Rule, register

@@ -3,8 +3,8 @@
 The injector is the bridge between a pure-data fault plan and a live
 :class:`~repro.sim.simulation.DataCenterSimulation`.  :meth:`arm` first
 checks every event against the simulation (not in its past, a crash
-target inside the rack, a scoped trip on a tree that has the node) and
-then does two things:
+target inside the rack, a scoped trip on a tree that has the node, a
+battery fault only where there is a battery) and then does two things:
 
 * attaches a :class:`~repro.power.sensor.FaultyPowerSensor` between the
   rack and the scheme (noise drawn from ``SeedSequence([seed, 1])``, a
@@ -42,7 +42,8 @@ __all__ = ["FaultInjector"]
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.simulation import DataCenterSimulation
 
-#: SeedSequence spawn key of the sensor-noise stream (hazard draw is 0).
+#: SeedSequence spawn key of the sensor-noise stream.  Chaos payloads
+#: depend on its value.
 _NOISE_STREAM = 1
 
 
@@ -133,6 +134,11 @@ class FaultInjector:
                 return "a node-scoped trip needs a power tree, not the flat topology"
             if event.node not in topology.nodes:
                 return f"the power tree has nodes {list(topology.nodes)}"
+        if (
+            event.kind in (FaultKind.BATTERY_FADE, FaultKind.BATTERY_STUCK)
+            and self.sim.battery is None
+        ):
+            return "the simulation has no battery"
         return ""
 
     # ------------------------------------------------------------------
@@ -209,13 +215,10 @@ class FaultInjector:
         )
 
     def _battery_fade(self, event: FaultEvent) -> None:
-        if self.sim.battery is not None:
-            self.sim.battery.apply_capacity_fade(event.params["fraction"])
+        self.sim.battery.apply_capacity_fade(event.params["fraction"])
 
     def _battery_stuck(self, event: FaultEvent) -> None:
         battery = self.sim.battery
-        if battery is None:
-            return
         battery.set_stuck(True)
         self.sim.engine.schedule(
             event.params["duration_s"],

@@ -5,17 +5,9 @@ seeded list of :class:`FaultEvent` saying what breaks, when, for how
 long.  Plans are pure data — building one touches no simulator state —
 so the same plan can be armed against any simulation, compared across
 schemes, serialised into chaos payloads, and hashed for byte-identity
-tests (:meth:`FaultPlan.signature`).
-
-Two construction styles:
-
-* **explicit schedule** — chain the builder methods
-  (:meth:`~FaultPlan.server_crash`, :meth:`~FaultPlan.meter_noise`, …)
-  to script a scenario;
-* **hazard-rate draw** — :meth:`FaultPlan.from_hazard` samples crash
-  and meter-fault arrivals from exponential inter-arrival times on a
-  dedicated seeded stream (never the wall clock), for randomised but
-  reproducible chaos.
+tests (:meth:`FaultPlan.signature`).  Chain the builder methods
+(:meth:`~FaultPlan.server_crash`, :meth:`~FaultPlan.meter_noise`, …) to
+script a scenario.
 """
 
 from __future__ import annotations
@@ -24,8 +16,6 @@ import enum
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List
-
-import numpy as np
 
 from .._validation import (
     check_fraction,
@@ -39,10 +29,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
 ]
-
-#: SeedSequence spawn key isolating the hazard-draw stream from every
-#: other consumer of the plan seed (the injector's noise stream uses 1).
-_HAZARD_STREAM = 0
 
 
 class FaultKind(enum.Enum):
@@ -98,8 +84,7 @@ class FaultPlan:
     Parameters
     ----------
     seed:
-        Master seed of the plan.  It keys both the hazard draw (when
-        :meth:`from_hazard` built the plan) and the injector's
+        Master seed of the plan.  It keys the injector's
         measurement-noise stream, so one integer pins every random
         aspect of a chaos run.
     events:
@@ -223,63 +208,6 @@ class FaultPlan:
             )
         )
         return self
-
-    # ------------------------------------------------------------------
-    # Hazard-rate construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_hazard(
-        cls,
-        seed: int,
-        duration_s: float,
-        num_servers: int,
-        crash_rate_hz: float = 1.0 / 120.0,
-        mean_outage_s: float = 20.0,
-        meter_fault_rate_hz: float = 0.0,
-        mean_meter_fault_s: float = 10.0,
-    ) -> "FaultPlan":
-        """Sample a plan from exponential inter-arrival hazards.
-
-        Crash arrivals are a Poisson process of rate *crash_rate_hz*
-        over ``[0, duration_s)``; each picks a uniform victim server and
-        an exponential outage of mean *mean_outage_s*.  When
-        *meter_fault_rate_hz* is nonzero, meter faults arrive the same
-        way, alternating dropout and stale windows of mean
-        *mean_meter_fault_s*.  All draws come from one
-        ``SeedSequence([seed, 0])`` stream in a fixed order, so the same
-        arguments always yield the same plan.
-        """
-        check_positive("duration_s", duration_s)
-        check_int("num_servers", num_servers, minimum=1)
-        check_non_negative("crash_rate_hz", crash_rate_hz)
-        check_positive("mean_outage_s", mean_outage_s)
-        check_non_negative("meter_fault_rate_hz", meter_fault_rate_hz)
-        check_positive("mean_meter_fault_s", mean_meter_fault_s)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _HAZARD_STREAM])
-        )
-        plan = cls(seed=seed)
-        if crash_rate_hz > 0.0:
-            t = float(rng.exponential(1.0 / crash_rate_hz))
-            while t < duration_s:
-                victim = int(rng.integers(0, num_servers))
-                outage_s = max(1e-3, float(rng.exponential(mean_outage_s)))
-                plan.server_crash(t, victim, outage_s)
-                t += float(rng.exponential(1.0 / crash_rate_hz))
-        if meter_fault_rate_hz > 0.0:
-            stale = False
-            t = float(rng.exponential(1.0 / meter_fault_rate_hz))
-            while t < duration_s:
-                window_s = max(
-                    1e-3, float(rng.exponential(mean_meter_fault_s))
-                )
-                if stale:
-                    plan.meter_stale(t, window_s)
-                else:
-                    plan.meter_dropout(t, window_s)
-                stale = not stale
-                t += float(rng.exponential(1.0 / meter_fault_rate_hz))
-        return plan
 
     # ------------------------------------------------------------------
     # Identity

@@ -4,7 +4,6 @@ from .availability import AvailabilityReport, availability
 from .collector import MetricsCollector
 from .energy import EnergyAccountant, EnergyReport, normalized_energy
 from .latency import LatencyStats, slowdown
-from .timeline import LatencyTimeline, TimelineBucket
 
 __all__ = [
     "MetricsCollector",
@@ -15,6 +14,4 @@ __all__ = [
     "EnergyAccountant",
     "EnergyReport",
     "normalized_energy",
-    "LatencyTimeline",
-    "TimelineBucket",
 ]

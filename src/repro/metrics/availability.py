@@ -11,7 +11,7 @@ against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .._validation import check_positive
 from ..network.request import FAULT_OUTCOMES, CompletionRecord, RequestOutcome

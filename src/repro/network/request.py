@@ -141,7 +141,7 @@ class CompletionRecord:
     """Flat terminal record of one request: one row of the metrics ledger.
 
     The collector keeps its rows as columns and builds these objects
-    only on request (export, timelines, availability, tests).  A record
+    only on request (export, availability, tests).  A record
     normally stands for exactly one request (``weight == 1``).
     The fluid execution mode additionally emits *aggregate* records
     (:meth:`aggregate`) standing for a whole analytically integrated

@@ -1,7 +1,6 @@
 """Experiment execution layer: parallel fan-out, caching, crash safety.
 
 Every sweep in the package — :func:`repro.analysis.sweep.replicate`,
-:class:`repro.analysis.sweep.GridSweep`,
 :class:`repro.analysis.region.DopeRegionAnalyzer` and the
 ``python -m repro sweep`` command — executes its cells through
 :func:`run_cells`, which provides:

@@ -9,7 +9,7 @@ DDoS-deflate-style firewall at 150 req/s and 1-second control slots.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .._validation import (
@@ -112,6 +112,13 @@ class SimulationConfig:
             check_positive("queue_timeout_s", self.queue_timeout_s)
         check_fraction("idle_fraction", self.idle_fraction, inclusive=False)
         check_positive("alpha", self.alpha)
+        require(
+            isinstance(self.budget_level, BudgetLevel),
+            f"budget_level must be a BudgetLevel, got {self.budget_level!r}",
+        )
+        for name in ("use_battery", "use_firewall"):
+            value = getattr(self, name)
+            require(isinstance(value, bool), f"{name} must be a bool, got {value!r}")
         check_positive("slot_s", self.slot_s)
         check_positive("battery_sustain_s", self.battery_sustain_s)
         check_fraction("battery_efficiency", self.battery_efficiency, inclusive=False)
@@ -154,18 +161,6 @@ class SimulationConfig:
     def supply_w(self) -> float:
         """Provisioned supply at the configured budget level."""
         return self.rack_nameplate_w * self.budget_level.fraction
-
-    def with_budget(self, level: BudgetLevel) -> "SimulationConfig":
-        """Copy of this config at a different provisioning level."""
-        return replace(self, budget_level=level)
-
-    def with_seed(self, seed: int) -> "SimulationConfig":
-        """Copy of this config with a different master seed."""
-        return replace(self, seed=seed)
-
-    def without_firewall(self) -> "SimulationConfig":
-        """Copy with the perimeter defence disabled (Fig. 10's solid lines)."""
-        return replace(self, use_firewall=False)
 
     # ------------------------------------------------------------------
     # Serialisation (experiment manifests)

@@ -19,7 +19,7 @@ component gets an independent stream.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..cluster.rack import Rack
 from ..cluster.topology import PowerTopology, TopologyMonitor
 from ..metrics.availability import AvailabilityReport, availability
 from ..metrics.collector import MetricsCollector
-from ..metrics.energy import EnergyAccountant, EnergyReport
+from ..metrics.energy import EnergyAccountant
 from ..metrics.latency import LatencyStats
 from ..network.fabric import FlowletEcmpFabric
 from ..network.firewall import NullFirewall, RateLimitFirewall

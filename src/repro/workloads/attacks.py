@@ -32,7 +32,6 @@ from .catalog import (
     VOLUME_DOS,
     WORD_COUNT,
     RequestMix,
-    RequestType,
     TrafficClass,
     uniform_mix,
 )

@@ -36,7 +36,7 @@ from ..network.firewall import RateLimitFirewall
 from ..network.sources import SourceRegistry
 from ..sim.engine import EventEngine
 from ..sim.events import PRIORITY_CONTROL
-from .catalog import RequestMix, RequestType, TrafficClass, uniform_mix
+from .catalog import RequestMix, TrafficClass, uniform_mix
 from .generator import ClosedLoopGenerator, Dispatch, clients_for_rate
 
 __all__ = [

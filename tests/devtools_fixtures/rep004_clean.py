@@ -9,3 +9,5 @@ if TYPE_CHECKING:  # annotation-only imports are exempt from layering
     from repro.sim.simulation import DataCenterSimulation
 
 __all__ = ["EventEngine", "Request"]
+
+owner: "DataCenterSimulation"

@@ -6,6 +6,6 @@ orchestration layer above it.
 
 from repro.sim.engine import EventEngine
 from repro.sim.simulation import DataCenterSimulation  # VIOLATION
-from repro.analysis.sweep import GridSweep  # VIOLATION
+from repro.analysis.sweep import replicate  # VIOLATION
 
-__all__ = ["EventEngine", "DataCenterSimulation", "GridSweep"]
+__all__ = ["EventEngine", "DataCenterSimulation", "replicate"]

@@ -12,7 +12,7 @@ from repro import (
 )
 from repro.core import SuspectList
 from repro.power import PowerBudget
-from repro.workloads import ALL_TYPES, COLLA_FILT, TEXT_CONT, uniform_mix
+from repro.workloads import ALL_TYPES, COLLA_FILT
 
 
 class SharedBinding:
@@ -133,7 +133,6 @@ class TestEndToEnd:
     def test_normal_latency_shielded_from_attack(self):
         """The headline property: legitimate light traffic barely
         notices a DOPE flood under Anti-DOPE."""
-        from repro.workloads import TrafficClass
 
         cfg = SimulationConfig(budget_level=BudgetLevel.LOW, seed=11)
         quiet = DataCenterSimulation(cfg, scheme=AntiDopeScheme())

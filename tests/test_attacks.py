@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network import NetworkLoadBalancer, SourceRegistry
+from repro.network import SourceRegistry
 from repro.workloads import (
     ATTACK_SCENARIOS,
     COLLA_FILT,

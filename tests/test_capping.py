@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import Request
-from repro.power import BudgetLevel, CappingScheme, PowerBudget
+from repro.power import CappingScheme, PowerBudget
 from repro.workloads import COLLA_FILT, K_MEANS, TrafficClass
 
 

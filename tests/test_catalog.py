@@ -10,7 +10,6 @@ from repro.workloads import (
     TEXT_CONT,
     VICTIM_TYPES,
     VOLUME_DOS,
-    WORD_COUNT,
     RequestMix,
     RequestType,
     alios_mix,

@@ -24,22 +24,6 @@ class TestDefaults:
 
 
 class TestDerivedCopies:
-    def test_with_budget(self):
-        cfg = SimulationConfig().with_budget(BudgetLevel.MEDIUM)
-        assert cfg.budget_level is BudgetLevel.MEDIUM
-        assert cfg.num_servers == 4
-
-    def test_with_seed(self):
-        assert SimulationConfig().with_seed(9).seed == 9
-
-    def test_without_firewall(self):
-        assert not SimulationConfig().without_firewall().use_firewall
-
-    def test_original_unchanged(self):
-        cfg = SimulationConfig()
-        cfg.with_budget(BudgetLevel.LOW)
-        assert cfg.budget_level is BudgetLevel.NORMAL
-
     def test_frozen(self):
         with pytest.raises(Exception):
             SimulationConfig().seed = 5  # type: ignore[misc]
@@ -61,6 +45,19 @@ class TestValidation:
     def test_invalid_seed(self):
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("use_battery", -1.0),
+            ("use_firewall", "no"),
+            ("budget_level", float("nan")),
+            ("budget_level", "low-pb"),
+        ],
+    )
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
 
 
 class TestSerialisation:

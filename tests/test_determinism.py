@@ -7,7 +7,6 @@ exported artifacts, byte for byte — not merely statistically similar
 ones.  This is the regression test that backs that guarantee.
 """
 
-import csv
 import io
 import json
 
@@ -19,11 +18,11 @@ from repro import (
     OnlineDetectScheme,
     SimulationConfig,
 )
-from repro.analysis import DopeRegionAnalyzer, GridSweep
+from repro.analysis import DopeRegionAnalyzer
 from repro.analysis.export import detector_summary, meter_to_csv, records_to_csv
 from repro.faults import run_chaos, validate_chaos_payload
 from repro.obs import Recorder
-from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, get_type, uniform_mix
+from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, uniform_mix
 
 ATTACK = uniform_mix((COLLA_FILT, K_MEANS))
 
@@ -73,79 +72,29 @@ REGION_RATES = (60.0, 250.0)
 REGION_SEED = 5
 
 
-def region_probe(type_name, rate_rps, seed):
-    """One Fig 11 cell as a GridSweep experiment (picklable)."""
-    analyzer = DopeRegionAnalyzer(
-        config=SimulationConfig(budget_level=BudgetLevel.MEDIUM, seed=seed),
-        window_s=20.0,
-        num_agents=20,
-    )
-    cell = analyzer.probe(get_type(type_name), rate_rps)
-    return {
-        "peak_power_w": cell.peak_power_w,
-        "violated": float(cell.violated),
-        "detected": float(cell.detected),
-    }
-
-
-def grid_rows_to_csv_bytes(rows) -> bytes:
-    """Exported CSV of sweep rows, full-precision (repr) floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in rows:
-        flat = []
-        for key in sorted(row):
-            value = row[key]
-            if hasattr(value, "mean"):  # MetricSummary
-                flat.extend(
-                    [key, repr(value.mean), repr(value.std), value.n]
-                )
-            else:
-                flat.extend([key, repr(value)])
-        writer.writerow(flat)
-    return buf.getvalue().encode()
-
-
-def test_grid_sweep_parallel_rows_byte_identical_to_serial():
-    """GridSweep over the Fig 11 grid: workers=4 == workers=1, byte-wise.
+def test_region_sweep_parallel_cells_byte_identical_to_serial():
+    """DopeRegionAnalyzer.sweep: merged parallel output == serial output.
 
     The runner's observation counters must obey the same equivalence:
     cells/executed/retries/errors tallies are deterministic output, so
     fanning out over 4 processes may not change a single count (wall
     timings, by design, may and do differ).
     """
-    sweep = GridSweep(
-        {
-            "type_name": [t.name for t in REGION_TYPES],
-            "rate_rps": list(REGION_RATES),
-        }
-    )
-    rec_serial = Recorder()
-    rec_parallel = Recorder()
-    serial = sweep.run(
-        region_probe, seeds=(REGION_SEED,), workers=1, recorder=rec_serial
-    )
-    parallel = sweep.run(
-        region_probe, seeds=(REGION_SEED,), workers=4, recorder=rec_parallel
-    )
-    assert grid_rows_to_csv_bytes(parallel) == grid_rows_to_csv_bytes(serial)
-    assert rec_parallel.counters.as_dict() == rec_serial.counters.as_dict()
-    assert rec_serial.counters.get("runner.cells_total") == len(REGION_TYPES) * len(
-        REGION_RATES
-    )
-
-
-def test_region_sweep_parallel_cells_byte_identical_to_serial():
-    """DopeRegionAnalyzer.sweep: merged parallel output == serial output."""
     analyzer = DopeRegionAnalyzer(
         config=SimulationConfig(budget_level=BudgetLevel.MEDIUM, seed=REGION_SEED),
         window_s=20.0,
         num_agents=20,
     )
-    serial = analyzer.sweep(REGION_TYPES, REGION_RATES, workers=1)
-    parallel = analyzer.sweep(REGION_TYPES, REGION_RATES, workers=4)
+    rec_serial = Recorder()
+    rec_parallel = Recorder()
+    serial = analyzer.sweep(REGION_TYPES, REGION_RATES, workers=1, recorder=rec_serial)
+    parallel = analyzer.sweep(
+        REGION_TYPES, REGION_RATES, workers=4, recorder=rec_parallel
+    )
     assert repr(parallel.as_rows()) == repr(serial.as_rows())
     assert [c.zone for c in parallel.cells] == [c.zone for c in serial.cells]
+    assert rec_parallel.counters.as_dict() == rec_serial.counters.as_dict()
+    assert rec_serial.counters.get("runner.cells_total") == 6
 
 
 def test_online_detect_region_sweep_parallel_byte_identical_to_serial():

@@ -15,7 +15,6 @@ from repro.devtools import (
     ProjectInfo,
     ProjectRule,
     lint_paths,
-    lint_project,
     lint_source,
     load_module,
 )

@@ -4,8 +4,7 @@ import pytest
 
 from repro.cluster import Rack
 from repro.network import NetworkLoadBalancer, RateLimitFirewall, SourceRegistry
-from repro.workloads import COLLA_FILT, AttackerState, DopeAttacker, TrafficClass
-from repro.workloads.catalog import uniform_mix
+from repro.workloads import AttackerState, DopeAttacker
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import EventEngine
 from repro.sim.engine import (
     ENGINE_SELECT_ENV,
     engine_from_env,

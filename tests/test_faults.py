@@ -59,30 +59,6 @@ class TestFaultPlan:
         assert a.signature() == b.signature()
         assert json.loads(a.signature())["seed"] == 1
 
-    def test_from_hazard_same_seed_identical(self):
-        kwargs = dict(
-            duration_s=600.0,
-            num_servers=4,
-            crash_rate_hz=1.0 / 60.0,
-            meter_fault_rate_hz=1.0 / 120.0,
-        )
-        a = FaultPlan.from_hazard(9, **kwargs)
-        b = FaultPlan.from_hazard(9, **kwargs)
-        assert a.signature() == b.signature()
-        assert len(a) > 0
-
-    def test_from_hazard_seeds_diverge(self):
-        a = FaultPlan.from_hazard(1, duration_s=600.0, num_servers=4)
-        b = FaultPlan.from_hazard(2, duration_s=600.0, num_servers=4)
-        assert a.signature() != b.signature()
-
-    def test_hazard_targets_in_range(self):
-        plan = FaultPlan.from_hazard(
-            4, duration_s=2000.0, num_servers=3, crash_rate_hz=1.0 / 50.0
-        )
-        for event in plan.events:
-            assert 0 <= event.target < 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultPlan(seed=0).server_crash(-1.0, 0, 5.0)
@@ -423,6 +399,19 @@ class TestFaultInjector:
         for _ in range(2):  # still unarmed after the first refusal
             with pytest.raises(ValueError, match=r"event 1 \(server_crash"):
                 injector.arm()
+        assert sim.engine.pending() == pending
+        assert sim.scheme.power_sensor is None
+
+    @pytest.mark.parametrize(
+        "kind, args", [("battery_fade", (1.0, 0.5)), ("battery_stuck", (2.0, 3.0))]
+    )
+    def test_arm_rejects_battery_fault_without_a_battery(self, kind, args):
+        config = SimulationConfig(seed=1, use_battery=False)
+        sim = DataCenterSimulation(config, scheme=NullScheme())
+        pending = sim.engine.pending()
+        plan = getattr(FaultPlan(seed=1), kind)(*args)
+        with pytest.raises(ValueError, match=rf"event 0 \({kind}"):
+            FaultInjector(sim, plan).arm()
         assert sim.engine.pending() == pending
         assert sim.scheme.power_sensor is None
 

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.metrics import MetricsCollector
 from repro.network import (
     NetworkLoadBalancer,
-    NullFirewall,
     RateLimitFirewall,
     Request,
     RequestOutcome,
@@ -63,8 +61,6 @@ class TestDispatchPipeline:
         assert collector.records[-1].outcome is RequestOutcome.DROPPED_TOKEN
 
     def test_queue_full_drop_recorded(self, engine, rng, collector):
-        import numpy as np
-
         rack = Rack(engine, num_servers=1, rng=rng, queue_capacity=0)
         nlb = NetworkLoadBalancer(rack.servers, drop_sink=collector.sink)
         workers = rack.servers[0].num_workers
@@ -75,8 +71,6 @@ class TestDispatchPipeline:
         assert nlb.dropped == 1
 
     def test_on_terminal_fires_for_drops(self, engine, rng):
-        import numpy as np
-
         rack = Rack(engine, num_servers=1, rng=rng, queue_capacity=0)
         nlb = NetworkLoadBalancer(rack.servers)
         for i in range(rack.servers[0].num_workers):

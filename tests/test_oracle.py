@@ -1,11 +1,9 @@
 """Unit tests for the oracle (perfect-knowledge) reference scheme."""
 
-import pytest
-
 from repro import BudgetLevel, DataCenterSimulation, SimulationConfig
 from repro.core.oracle import GroundTruthFilter, OracleScheme
 from repro.network import Request, RequestOutcome
-from repro.workloads import COLLA_FILT, TEXT_CONT, TrafficClass, uniform_mix
+from repro.workloads import COLLA_FILT, TrafficClass
 
 
 class TestGroundTruthFilter:

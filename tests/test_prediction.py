@@ -9,9 +9,7 @@ Three layers:
 * the headline: under the ``predictor-poison`` attack the scheme admits
   a flood that drives measured rack power over the true supply while
   the predicted-draw budget still reports below it — the
-  ``predict.blind_violation_slots`` window — and the fig11 region delta
-  against Anti-DOPE exports through
-  :func:`repro.analysis.region_delta_summary`.
+  ``predict.blind_violation_slots`` window.
 """
 
 import pytest
@@ -22,8 +20,6 @@ from repro import (
     PredictionScheme,
     SimulationConfig,
 )
-from repro.analysis import DopeRegionAnalyzer, region_delta_summary
-from repro.analysis.region import RegionCell, RegionResult
 from repro.detect import SCHEME_NAMES, make_scheme
 from repro.power.prediction import (
     TIER_HARD,
@@ -281,73 +277,3 @@ class TestPredictorPoisoning:
         assert report["prediction_w"] < sim.budget.supply_w
         assert report["effective_budget_w"] > sim.budget.supply_w
         assert report["tier"] == TIER_HEALTHY
-
-
-# ----------------------------------------------------------------------
-# fig11 region delta export
-# ----------------------------------------------------------------------
-
-
-def _cell(type_name, rate_rps, violated=False, detected=False):
-    return RegionCell(
-        type_name=type_name,
-        rate_rps=rate_rps,
-        num_agents=20,
-        peak_power_w=300.0,
-        budget_w=320.0,
-        violated=violated,
-        detected=detected,
-    )
-
-
-class TestRegionDeltaSummary:
-    def test_identical_results_have_zero_delta(self):
-        result = RegionResult(
-            cells=[_cell("k-means", 100.0), _cell("k-means", 200.0, True)]
-        )
-        summary = region_delta_summary(result, result, "x", "y")
-        assert summary["dope_delta_cells"] == 0
-        assert summary["zone_changes"] == []
-        assert summary["dope_cells"] == {"x": 1, "y": 1}
-
-    def test_zone_migration_listed(self):
-        before = RegionResult(cells=[_cell("k-means", 200.0, violated=True)])
-        after = RegionResult(
-            cells=[_cell("k-means", 200.0, violated=True, detected=True)]
-        )
-        summary = region_delta_summary(before, after, "raw", "defended")
-        assert summary["dope_delta_cells"] == -1
-        (change,) = summary["zone_changes"]
-        assert change["raw"] == "dope"
-        assert change["defended"] == "detected"
-
-    def test_mismatched_grids_rejected(self):
-        a = RegionResult(cells=[_cell("k-means", 100.0)])
-        b = RegionResult(cells=[_cell("k-means", 150.0)])
-        with pytest.raises(ValueError):
-            region_delta_summary(a, b)
-
-    def test_prediction_vs_anti_dope_sweep_exports(self):
-        """The acceptance export: fig11 delta, prediction vs Anti-DOPE."""
-
-        def sweep(scheme):
-            analyzer = DopeRegionAnalyzer(
-                config=SimulationConfig(
-                    budget_level=BudgetLevel.MEDIUM, seed=5
-                ),
-                window_s=20.0,
-                num_agents=20,
-                scheme=scheme,
-            )
-            return analyzer.sweep((COLLA_FILT, K_MEANS), (60.0, 250.0))
-
-        summary = region_delta_summary(
-            sweep("anti-dope"), sweep("prediction"), "anti-dope", "prediction"
-        )
-        assert summary["cells"] == 4
-        assert summary["labels"] == ["anti-dope", "prediction"]
-        assert set(summary["dope_fraction"]) == {"anti-dope", "prediction"}
-        for change in summary["zone_changes"]:
-            assert {"type", "rate_rps", "anti-dope", "prediction"} <= set(
-                change
-            )

@@ -1,10 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import EmpiricalCDF
@@ -13,7 +11,7 @@ from repro.core import DPMPlanner
 from repro.metrics import LatencyStats
 from repro.power import Battery, PowerTokenBucket
 from repro.sim import EventQueue
-from repro.workloads import ALL_TYPES, RequestType
+from repro.workloads import ALL_TYPES
 
 # ----------------------------------------------------------------------
 # Frequency ladder
@@ -334,7 +332,7 @@ class TestServerWorkConservation:
 
 
 # ----------------------------------------------------------------------
-# Availability partition and windowed timelines
+# Availability partition
 # ----------------------------------------------------------------------
 
 
@@ -368,32 +366,3 @@ class TestAvailabilityProperties:
         )
         assert 0.0 <= report.availability <= 1.0
         assert 0.0 <= report.drop_fraction <= 1.0
-
-
-class TestTimelineProperties:
-    @given(
-        arrivals=st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            min_size=1,
-            max_size=80,
-        ),
-        bucket=st.floats(min_value=0.5, max_value=30.0, allow_nan=False),
-    )
-    def test_buckets_partition_all_records(self, arrivals, bucket):
-        from repro.metrics import LatencyTimeline
-        from repro.network import CompletionRecord, Request, RequestOutcome
-        from repro.workloads import TEXT_CONT, TrafficClass
-
-        records = [
-            CompletionRecord(
-                Request(TEXT_CONT, 0, TrafficClass.NORMAL, t),
-                RequestOutcome.COMPLETED,
-                t + 0.01,
-            )
-            for t in arrivals
-        ]
-        timeline = LatencyTimeline(records, bucket_s=bucket)
-        assert sum(b.offered for b in timeline.buckets) == len(records)
-        # Buckets tile the span contiguously.
-        for a, b in zip(timeline.buckets, timeline.buckets[1:]):
-            assert b.start_s == pytest.approx(a.end_s)

@@ -38,39 +38,9 @@ class TestBulkDVFS:
         rack.set_all_levels(3)
         assert rack.levels() == [3, 3, 3, 3]
 
-    def test_set_levels_vector(self, rack):
-        rack.set_levels([0, 4, 8, 12])
-        assert rack.levels() == [0, 4, 8, 12]
-
-    def test_set_levels_wrong_length_rejected(self, rack):
-        with pytest.raises(ValueError):
-            rack.set_levels([1, 2])
-
-    def test_step_all_down(self, rack):
-        rack.step_all(-2)
-        assert rack.levels() == [10, 10, 10, 10]
-
-    def test_step_all_up_saturates(self, rack):
-        rack.step_all(5)
-        assert rack.levels() == [12, 12, 12, 12]
-
     def test_mean_freq(self, rack):
         rack.set_all_levels(0)
         assert rack.mean_freq_ghz() == pytest.approx(1.2)
-
-
-class TestSubset:
-    def test_subset_returns_requested_servers(self, rack):
-        subset = rack.subset([1, 3])
-        assert [s.server_id for s in subset] == [1, 3]
-
-    def test_subset_out_of_range_rejected(self, rack):
-        with pytest.raises(IndexError):
-            rack.subset([7])
-
-    def test_for_each_applies(self, rack):
-        rack.for_each(lambda s: s.set_level(5))
-        assert rack.levels() == [5] * 4
 
 
 class TestDeterminism:

@@ -1,6 +1,5 @@
 """Integration tests for the DataCenterSimulation facade."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -8,7 +7,6 @@ from repro import (
     BudgetLevel,
     CappingScheme,
     DataCenterSimulation,
-    NullScheme,
     SimulationConfig,
     TokenScheme,
 )

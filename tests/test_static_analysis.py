@@ -4,9 +4,12 @@ The first test is the gate: the whole ``src/repro`` tree must lint
 clean.  The rest pin down each rule against fixtures under
 ``tests/devtools_fixtures/`` — every line carrying a ``# VIOLATION``
 marker must produce exactly one finding for the rule under test, and
-the matching ``*_clean.py`` twin must produce none.
+the matching ``*_clean.py`` twin must produce none.  The last test
+keeps every tree CI's ``ruff check`` step covers free of unused
+imports, so that step's F401 findings surface in tier-1 too.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -263,3 +266,80 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "REP001" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Unused imports in the trees CI's `ruff check` step covers.
+# ---------------------------------------------------------------------------
+
+RUFF_PATHS = ("src", "tests", "benchmarks", "scripts")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scope_imports(scope):
+    """Import statements that bind names in *scope*, not in a nested def."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def names_read(scope) -> set:
+    """Every name *scope* mentions, string annotations included."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = (getattr(node, "annotation", None), getattr(node, "returns", None))
+        for annotation in filter(None, annotations):
+            for text in ast.walk(annotation):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    try:
+                        parsed = ast.parse(text.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(path: Path) -> list:
+    """``path:line: name`` for each import nothing in its scope reads.
+
+    ``__all__`` entries, ``x as x`` re-exports and ``# noqa`` lines count
+    as used, as they do for ruff.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in [
+            getattr(target, "id", None) for target in node.targets
+        ]:
+            exported = {getattr(elt, "value", None) for elt in node.value.elts}
+    findings = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        used = names_read(scope) | (exported if scope is tree else set())
+        for stmt in scope_imports(scope):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                noqa = "# noqa" in lines[alias.lineno - 1] + lines[stmt.lineno - 1]
+                if name not in used and alias.asname != alias.name and not noqa:
+                    where = path.relative_to(REPO_ROOT)
+                    findings.append(f"{where}:{alias.lineno}: {name}")
+    return findings
+
+
+def test_no_unused_imports():
+    findings = [
+        finding
+        for root in RUFF_PATHS
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        for finding in unused_imports(path)
+    ]
+    assert findings == [], "\n" + "\n".join(findings)

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.cluster import ServerPowerModel
 from repro.core import SuspectList
 from repro.workloads import (
     ALL_TYPES,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import GridSweep, MetricSummary, replicate
+from repro.analysis.sweep import replicate
 
 
 class TestReplicate:
@@ -51,32 +51,3 @@ class TestReplicate:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             replicate(lambda s: {"x": 1.0}, seeds=[])
-
-
-class TestGridSweep:
-    def test_points_cartesian_product(self):
-        sweep = GridSweep({"a": [1, 2], "b": ["x", "y", "z"]})
-        points = sweep.points()
-        assert len(points) == 6
-        assert len(sweep) == 6
-        assert {"a": 1, "b": "x"} in points
-        assert {"a": 2, "b": "z"} in points
-
-    def test_run_attaches_metrics_to_params(self):
-        sweep = GridSweep({"k": [2, 3]})
-
-        def experiment(k, seed):
-            return {"square": float(k * k + seed)}
-
-        rows = sweep.run(experiment, seeds=[0, 2])
-        assert len(rows) == 2
-        by_k = {row["k"]: row for row in rows}
-        assert by_k[2]["square"].mean == pytest.approx(5.0)  # (4+6)/2
-        assert by_k[3]["square"].mean == pytest.approx(10.0)  # (9+11)/2
-        assert isinstance(by_k[2]["square"], MetricSummary)
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            GridSweep({"a": []})
-        with pytest.raises(ValueError):
-            GridSweep({})
