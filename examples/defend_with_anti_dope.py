@@ -1,22 +1,26 @@
 #!/usr/bin/env python
 """Deploying Anti-DOPE step by step (paper Section 5).
 
-Walks through the framework's pieces explicitly instead of using the
-pre-wired scheme object:
+Walks through the framework's pieces in the order a deployment meets
+them:
 
 1. **offline profiling** — build the suspect list from the server
    power model (or from measurements, if you have them);
-2. **PDF** — install suspect-aware forwarding on the load balancer;
-3. **RPM/DPM** — run the differentiated power controller each slot;
+2. **PDF** — suspect-aware forwarding on the load balancer, isolating
+   suspect URLs on one server;
+3. **RPM/DPM** — the differentiated power controller, run every slot;
 4. measure what legitimate users experienced.
+
+Steps 2 and 3 are one object: ``AntiDopeScheme`` installs PDF over the
+given suspect list and runs the RPM/DPM slot.
 
 Run:  python examples/defend_with_anti_dope.py
 """
 
-from repro import BudgetLevel, DataCenterSimulation, NullScheme, SimulationConfig
+from repro import AntiDopeScheme, BudgetLevel, DataCenterSimulation, SimulationConfig
 from repro.analysis import print_table
-from repro.core import DPMPlanner, PDFPolicy, RequestAwarePowerManager, SuspectList
-from repro.sim.events import PRIORITY_CONTROL
+from repro.cluster import ServerPowerModel
+from repro.core import SuspectList
 from repro.workloads import (
     ALL_TYPES,
     COLLA_FILT,
@@ -31,19 +35,19 @@ DURATION = 180.0
 
 def main() -> None:
     print(__doc__)
-
-    # Infrastructure with *no* managed scheme — we wire the framework
-    # by hand to show each moving part.
-    sim = DataCenterSimulation(
-        SimulationConfig(budget_level=BudgetLevel.LOW, seed=11),
-        scheme=NullScheme(),
-    )
+    config = SimulationConfig(budget_level=BudgetLevel.LOW, seed=11)
 
     # ------------------------------------------------------------------
     # Step 1 — offline profiling: which URLs can be weaponised?
     # ------------------------------------------------------------------
+    power_model = ServerPowerModel(
+        nameplate_w=config.nameplate_w,
+        idle_fraction=config.idle_fraction,
+        alpha=config.alpha,
+        num_workers=config.workers_per_server,
+    )
     suspect_list = SuspectList.from_model(
-        ALL_TYPES, sim.rack.power_model, threshold_fraction=0.70
+        ALL_TYPES, power_model, threshold_fraction=0.70
     )
     print_table(
         ["url", "full-load W", "J/request", "suspect"],
@@ -62,29 +66,20 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # Step 2 — PDF: isolate suspect URLs on one server.
+    # Steps 2 and 3 — PDF isolates suspect URLs on one server; RPM runs
+    # the DPM planner every control slot, throttling that server first.
     # ------------------------------------------------------------------
-    pdf = PDFPolicy(suspect_list, sim.rack.servers, suspect_pool_size=1, obs=sim.obs)
-    sim.nlb.policy = pdf
-    print(f"Step 2: PDF installed; suspect pool = servers {pdf.suspect_server_ids}")
-
-    # ------------------------------------------------------------------
-    # Step 3 — RPM with the DPM planner, stepped every control slot.
-    # ------------------------------------------------------------------
-    rpm = RequestAwarePowerManager(
-        suspect_pool=pdf.suspect_pool,
-        innocent_pool=pdf.innocent_pool,
-        budget=sim.budget,
-        battery=sim.battery,
-        planner=DPMPlanner(sim.rack.ladder.max_level),
-        slot_s=sim.config.slot_s,
+    sim = DataCenterSimulation(
+        config,
+        scheme=AntiDopeScheme(suspect_pool_size=1, suspect_list=suspect_list),
     )
-    sim.engine.every(
-        sim.config.slot_s,
-        lambda: rpm.step(sim.now),
-        priority=PRIORITY_CONTROL,
+    policy = sim.scheme.policy
+    print(
+        "Steps 2-3: PDF installed; suspect pool = servers "
+        f"{policy.suspect_server_ids}, innocent pool = servers "
+        f"{[s.server_id for s in policy.innocent_pool]}; "
+        f"RPM/DPM armed ({config.slot_s:g} s slots)\n"
     )
-    print("Step 3: RPM control loop armed (1 s slots)\n")
 
     # ------------------------------------------------------------------
     # Traffic: legitimate users plus a DOPE flood.
@@ -105,7 +100,11 @@ def main() -> None:
     counters = sim.obs.counters
     print(f"suspect requests forwarded : {counters.get('network.pdf_suspect_forwarded')}")
     print(f"innocent requests forwarded: {counters.get('network.pdf_innocent_forwarded')}")
-    print(f"control slots / violations : {rpm.stats.slots} / {rpm.stats.violations}")
+    print(
+        "control slots / violations : "
+        f"{counters.get('power.control_slots')} / "
+        f"{counters.get('power.budget_violation_slots')}"
+    )
     print(f"peak power                 : {sim.meter.peak_power():.0f} W "
           f"(budget {sim.budget.supply_w:.0f} W)")
     print(f"normal users               : {stats}")

@@ -239,14 +239,17 @@ class Server:
     def power_at_level(self, level: int) -> float:
         """Power the *current* load would draw at ladder *level*.
 
-        Used by capping planners to rank candidate levels.  Note: no
-        health check — a crashed server reports its idle floor here, as
-        the planner's model (which cannot see faults) always has.  A
-        level off the ladder raises ``ValueError``.
+        Used by capping planners to rank candidate levels.  A server
+        that is not healthy draws nothing at any level, as
+        :meth:`current_power` reads it.  A level off the ladder raises
+        ``ValueError``, healthy or not.
         """
         table = self.eval_table
+        factor_row = table.factor_row(level)
+        if not self.healthy:
+            return 0.0
         return self.power_model.power_from_counts(
-            self._counts, table.factor_row(level), table.idle_power_at(level)
+            self._counts, factor_row, table.idle_power_at(level)
         )
 
     def energy_joules(self) -> float:

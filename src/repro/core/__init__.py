@@ -1,10 +1,13 @@
-"""Anti-DOPE — the paper's contribution: suspect list, PDF, DPM, RPM."""
+"""Anti-DOPE — the paper's contribution: suspect list, PDF, DPM, RPM.
+
+RPM, the control slot that runs DPM's plan, is
+:meth:`~repro.core.anti_dope.SuspectPoolScheme.step`.
+"""
 
 from .anti_dope import AntiDopeScheme
 from .oracle import GroundTruthFilter, OracleScheme
 from .dpm import DPMPlanner, ThrottlePlan
 from .pdf import PDFPolicy, split_pools
-from .rpm import RequestAwarePowerManager, RPMDecision, RPMStats
 from .suspect_list import SuspectList, UrlPowerProfile
 
 __all__ = [
@@ -14,9 +17,6 @@ __all__ = [
     "split_pools",
     "DPMPlanner",
     "ThrottlePlan",
-    "RequestAwarePowerManager",
-    "RPMDecision",
-    "RPMStats",
     "AntiDopeScheme",
     "OracleScheme",
     "GroundTruthFilter",

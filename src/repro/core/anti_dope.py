@@ -5,16 +5,16 @@ Anti-DOPE couples the two halves the rest of this package provides:
 * **PDF** (:mod:`repro.core.pdf`) on the load-balancer side splits
   traffic by the offline suspect list and isolates high-power requests
   on a dedicated server pool;
-* **RPM** (:mod:`repro.core.rpm`) on the power-manager side enforces
-  the budget with differentiated DVFS (DPM, Algorithm 1), throttling
-  the suspect pool first and using the battery only as a transition
-  medium while V/F settings reconfigure.
+* **RPM** on the power-manager side enforces the budget with
+  differentiated DVFS (DPM, :mod:`repro.core.dpm`, Algorithm 1),
+  throttling the suspect pool first and using the battery only as a
+  transition medium while V/F settings reconfigure.
 
 :class:`AntiDopeScheme` packages both behind the standard
 :class:`~repro.power.manager.PowerManagementScheme` interface, so it is
 a drop-in peer of Capping/Shaving/Token — "orthogonal to prior power
 management schemes and requires minute system modification".  The
-pool, RPM and queue-cap wiring lives in :class:`SuspectPoolScheme`,
+pools, the queue cap and the RPM slot live in :class:`SuspectPoolScheme`,
 which the online detector (:mod:`repro.detect.scheme`) shares; Anti-DOPE
 adds only the offline suspect list and PDF.
 """
@@ -24,25 +24,27 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .._validation import check_fraction, check_int
-from ..power.manager import PowerManagementScheme
+from ..power.manager import PowerManagementScheme, servers_power_at_level
 from ..workloads.catalog import ALL_TYPES, RequestType
 from .dpm import DPMPlanner
 from .pdf import PDFPolicy, SuspectPoolPolicy
-from .rpm import RequestAwarePowerManager
 from .suspect_list import SuspectList
 
 __all__ = ["SuspectPoolScheme", "AntiDopeScheme"]
+
+#: Share of a compliant slot's headroom offered to recharge the battery.
+RECHARGE_HEADROOM_FRACTION = 0.5
 
 
 class SuspectPoolScheme(PowerManagementScheme):
     """The actuation half every suspect-pool defence shares.
 
     A forwarding :attr:`policy` isolates suspect requests on a server
-    pool; RPM throttles that pool first every control slot, with the
-    battery as the transition medium.  Subclasses decide what is
-    suspect: they build the policy at bind and hand it to
-    :meth:`_install`, which caps the suspect queues and builds RPM over
-    the policy's pool carve.
+    pool; every control slot, :meth:`step` (RPM) throttles that pool
+    first, with the battery as the transition medium.  Subclasses
+    decide what is suspect: they build the policy at bind and hand it
+    to :meth:`_install`, which caps the suspect queues and builds the
+    DPM planner.
 
     Parameters
     ----------
@@ -50,7 +52,7 @@ class SuspectPoolScheme(PowerManagementScheme):
         Servers isolated for suspect traffic (default 1, as in the
         paper's 4-node mini rack).
     use_battery_transition:
-        When False, RPM runs without the battery ride-through — the
+        When False, the slot runs without the battery ride-through — the
         ablation arm for the "battery as transition medium" design
         choice.
     suspect_queue_factor:
@@ -86,27 +88,17 @@ class SuspectPoolScheme(PowerManagementScheme):
         self.suspect_queue_factor = suspect_queue_factor
         self.profiled_types: Tuple[RequestType, ...] = tuple(profiled_types)
         self.policy: Optional[SuspectPoolPolicy] = None
-        self.rpm: Optional[RequestAwarePowerManager] = None
+        self.planner: Optional[DPMPlanner] = None
 
     def _install(self, policy: SuspectPoolPolicy) -> None:
-        """Adopt *policy*, cap its suspect queues and build RPM over its
-        pool carve.  Called once, at bind, with the final carve."""
+        """Adopt *policy*, cap its suspect queues and build the DPM
+        planner.  Called once, at bind, with the final carve."""
         self.policy = policy
         if self.suspect_queue_factor is not None:
             for server in policy.suspect_pool:
                 cap = int(self.suspect_queue_factor * server.num_workers)
                 server.queue_capacity = min(server.queue_capacity, cap)
-        self.rpm = RequestAwarePowerManager(
-            suspect_pool=policy.suspect_pool,
-            innocent_pool=policy.innocent_pool,
-            budget=self.budget,
-            battery=self.battery if self.use_battery_transition else None,
-            planner=DPMPlanner(self.rack.ladder.max_level, self.hysteresis),
-            slot_s=self.slot_s,
-            # RPM plans against the scheme's perceived power so an
-            # attached (possibly faulty) sensor degrades it too.
-            power_reader=self.current_power,
-        )
+        self.planner = DPMPlanner(self.rack.ladder.max_level, self.hysteresis)
 
     def forwarding_policy(self) -> SuspectPoolPolicy:
         """The suspect-pool policy for the NLB."""
@@ -114,9 +106,54 @@ class SuspectPoolScheme(PowerManagementScheme):
         return self.policy
 
     def step(self) -> None:
-        """One RPM control slot."""
+        """One RPM control slot (paper Section 5.2).
+
+        Reads the perceived power once (:meth:`current_power`, so an
+        attached sensor degrades the slot too), asks DPM for
+        ``TL(p, q)`` and applies it to the healthy servers, suspect pool
+        first.  Each pool's current level is the lowest among its
+        healthy members, or the ladder top when none is left; a server
+        that is not healthy predicts 0 W and keeps its level.  With the
+        battery transition on, the battery carries the deficit of a
+        violating slot that changed a level, recharges from the
+        headroom of a compliant slot and idles otherwise.
+        """
         self._require_bound()
-        self.rpm.step(self.engine.now)
+        suspect = self.policy.suspect_pool
+        innocent = self.policy.innocent_pool
+        power_w = self.current_power()
+        deficit = self.budget.deficit(power_w)
+        top = self.rack.ladder.max_level
+        plan = self.planner.plan(
+            self.budget.supply_w,
+            lambda p, q: servers_power_at_level(suspect, p)
+            + servers_power_at_level(innocent, q),
+            min((s.level for s in suspect if s.healthy), default=top),
+            min((s.level for s in innocent if s.healthy), default=top),
+        )
+        reconfigured = False
+        for pool, level in (
+            (suspect, plan.suspect_level),
+            (innocent, plan.innocent_level),
+        ):
+            for server in pool:
+                if server.healthy and server.level != level:
+                    # set_level reschedules events: suspect pool first.
+                    server.set_level(level)
+                    reconfigured = True
+        if not self.use_battery_transition or self.battery is None:
+            return
+        if deficit > 0 and reconfigured:
+            # Transition medium: carry the deficit across the slot in
+            # which the new V/F settings take effect.
+            self.battery.discharge(deficit, self.slot_s)
+        elif deficit <= 0:
+            self.battery.charge(
+                self.budget.headroom(power_w) * RECHARGE_HEADROOM_FRACTION,
+                self.slot_s,
+            )
+        else:
+            self.battery.idle()
 
     @property
     def suspect_server_ids(self) -> List[int]:
@@ -172,7 +209,7 @@ class AntiDopeScheme(SuspectPoolScheme):
         self.suspect_list = suspect_list
 
     def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
-        """Attach infrastructure, build the suspect list, PDF and RPM."""
+        """Attach infrastructure, build the suspect list, PDF and DPM."""
         super().bind(engine, rack, budget, battery, slot_s, topology)
         if self.suspect_list is None:
             self.suspect_list = SuspectList.from_model(

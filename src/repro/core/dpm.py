@@ -14,8 +14,8 @@ strict priority order the paper prescribes:
    back to the deepest configuration — the physical best effort.
 
 The planner is a pure function of ``(budget, predict)`` so it can be
-unit-tested exhaustively; actuation lives in
-:class:`repro.core.rpm.RequestAwarePowerManager`.
+unit-tested exhaustively; the RPM slot that predicts, plans and
+actuates lives in :meth:`repro.core.anti_dope.SuspectPoolScheme.step`.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ PowerPredictor = Callable[[int, int], float]
 
 @dataclass(frozen=True)
 class ThrottlePlan:
-    """One DPM decision: per-pool uniform V/F levels plus diagnostics."""
+    """One DPM decision: per-pool uniform V/F levels, and whether they fit."""
 
     suspect_level: int
     innocent_level: int
-    predicted_power_w: float
     feasible: bool
 
     def degrades_innocent(self, max_level: int) -> bool:
@@ -93,32 +92,17 @@ class DPMPlanner:
             lambda p: predict(p, top), cap_w, guard, top, current_suspect_level
         )
         if choice is not None:
-            return ThrottlePlan(
-                suspect_level=choice,
-                innocent_level=top,
-                predicted_power_w=predict(choice, top),
-                feasible=True,
-            )
+            return ThrottlePlan(suspect_level=choice, innocent_level=top, feasible=True)
 
         # Phase 2: suspect pool pinned at minimum, search innocent level.
         choice = highest_guarded_level(
             lambda q: predict(0, q), cap_w, guard, top, current_innocent_level
         )
         if choice is not None:
-            return ThrottlePlan(
-                suspect_level=0,
-                innocent_level=choice,
-                predicted_power_w=predict(0, choice),
-                feasible=True,
-            )
+            return ThrottlePlan(suspect_level=0, innocent_level=choice, feasible=True)
 
         # Phase 3: physically infeasible — deepest throttle everywhere.
-        return ThrottlePlan(
-            suspect_level=0,
-            innocent_level=0,
-            predicted_power_w=predict(0, 0),
-            feasible=False,
-        )
+        return ThrottlePlan(suspect_level=0, innocent_level=0, feasible=False)
 
     def _check_level(self, name: str, level: int) -> None:
         check_int(name, level, minimum=0)

@@ -4,8 +4,9 @@ Anti-DOPE's forwarding half classifies requests by an *offline* URL
 suspect list; an adaptive attacker that shifts its mix, or a deployment
 whose profile has drifted, slips straight past it.  OnlineDetect keeps
 the same actuation machinery — a dedicated suspect server pool fed by
-the NLB, throttled first by the differentiated power manager (RPM) —
-but replaces the static classification with a live inference pipeline:
+the NLB, throttled first by the RPM slot it inherits from
+:class:`~repro.core.anti_dope.SuspectPoolScheme` — but replaces the
+static classification with a live inference pipeline:
 
     arrivals + completions → :class:`StreamingFeatureExtractor`
         → :class:`OnlineAnomalyModel` (per control slot)
@@ -117,8 +118,8 @@ class OnlineDetectScheme(SuspectPoolScheme):
         quarantine server per row of the bound power tree; falls back
         to ``"dc"`` in the flat model, which has no rows).
     use_battery_transition / suspect_queue_factor / hysteresis:
-        As in :class:`~repro.core.anti_dope.SuspectPoolScheme` — the
-        pool and RPM half is shared machinery.
+        As in :class:`~repro.core.anti_dope.SuspectPoolScheme`, whose
+        pools and RPM slot this scheme inherits.
     profiled_types:
         Type universe of the entropy feature and energy attribution.
     """
@@ -243,7 +244,7 @@ class OnlineDetectScheme(SuspectPoolScheme):
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Calibrate, score every live source, re-carve the suspect set,
-        then run one RPM slot against the updated pools."""
+        then run the inherited RPM slot against the updated set."""
         self._require_bound()
         now = self.engine.now
         counters = self.engine.obs.counters

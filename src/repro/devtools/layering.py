@@ -89,9 +89,10 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
             "power",
         }
     ),
-    # The online-detection pipeline sits beside core: it reuses core's
-    # RPM/DPM actuation half and hooks the same network/cluster taps,
-    # but stays below sim so schemes remain objects the facade consumes.
+    # The online-detection pipeline sits beside core: it inherits core's
+    # SuspectPoolScheme (pools and the RPM/DPM slot) and hooks the same
+    # network/cluster taps, but stays below sim so schemes remain
+    # objects the facade consumes.
     "detect": frozenset(
         {
             "validation",

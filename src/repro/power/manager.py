@@ -10,7 +10,7 @@ whole Table 2 matrix is expressed by swapping one object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .._validation import check_finite, check_positive
 from .battery import Battery
@@ -23,6 +23,7 @@ __all__ = [
     "check_hysteresis",
     "highest_fitting_level",
     "highest_guarded_level",
+    "servers_power_at_level",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,6 +41,19 @@ def check_hysteresis(hysteresis: float) -> float:
     if not 0.0 <= hysteresis < 0.5:
         raise ValueError(f"hysteresis must be in [0, 0.5), got {hysteresis!r}")
     return float(hysteresis)
+
+
+def servers_power_at_level(servers: Iterable["Server"], level: int) -> float:
+    """Power *servers* would draw if each moved to ladder *level* now.
+
+    The one power prediction every controller shares: the sum of
+    :meth:`~repro.cluster.server.Server.power_at_level`, left to right
+    from 0.0, so a server that is not healthy adds 0 W.
+    """
+    total = 0.0
+    for server in servers:
+        total += server.power_at_level(level)
+    return total
 
 
 def highest_fitting_level(
@@ -244,16 +258,15 @@ class PowerManagementScheme:
         Uses the servers' actual in-service request types, so the
         prediction is exact for the current instant — the idealised
         model-based capping controller the paper assumes RAPL provides.
-        Like the planner's model it ignores health: a crashed server
-        predicts as its idle floor.
+        A server that is not healthy predicts 0 W, as it draws
+        (:func:`servers_power_at_level`).
         """
         self._require_bound()
         self.engine.obs.counters.inc("power.prediction_evals")
-        clamped = self.rack.ladder.clamp(level)
-        total = 0.0
-        for server in self.rack.servers if servers is None else servers:
-            total += server.power_at_level(clamped)
-        return total
+        return servers_power_at_level(
+            self.rack.servers if servers is None else servers,
+            self.rack.ladder.clamp(level),
+        )
 
     def highest_level_within(
         self,

@@ -11,8 +11,9 @@ from repro import (
     SimulationConfig,
 )
 from repro.core import SuspectList
-from repro.power import PowerBudget
-from repro.workloads import ALL_TYPES, COLLA_FILT
+from repro.network import Request
+from repro.power import Battery, PowerBudget
+from repro.workloads import ALL_TYPES, COLLA_FILT, TrafficClass
 
 
 class SharedBinding:
@@ -41,12 +42,37 @@ class SharedBinding:
         _, policy = self.bound(engine, rack, suspect_queue_factor=None)
         assert policy.suspect_pool[0].queue_capacity == 512
 
-    def test_battery_ablation_arm(self, engine, rack):
-        from repro.power import Battery
-
+    def violating_then_compliant_slot(self, engine, rack, use_battery_transition):
+        """Battery flows after a violating slot that reconfigures, and
+        after a compliant slot with room to recharge."""
         battery = Battery.for_rack(400.0)
-        scheme, _ = self.bound(engine, rack, battery, use_battery_transition=False)
-        assert scheme.rpm.battery is None
+        battery.soc_j = battery.capacity_j / 2
+        scheme, _ = self.bound(
+            engine, rack, battery, use_battery_transition=use_battery_transition
+        )
+        for server in rack.servers:
+            for i in range(8):
+                server.submit(Request(COLLA_FILT, i, TrafficClass.ATTACK, 0.0))
+        # Full Colla-Filt load: 400 W against the 320 W budget.
+        scheme.step()
+        assert rack.levels() != [12] * 4
+        violating = (battery.delivered_j, battery.absorbed_grid_j)
+        engine.run(until=60.0)  # the load drains: compliant
+        scheme.step()
+        return violating, (battery.delivered_j, battery.absorbed_grid_j)
+
+    def test_battery_ablation_arm(self, engine, rack):
+        violating, compliant = self.violating_then_compliant_slot(
+            engine, rack, use_battery_transition=False
+        )
+        assert violating == compliant == (0.0, 0.0)
+
+    def test_battery_transition_discharges_then_recharges(self, engine, rack):
+        (delivered_j, _), (_, absorbed_j) = self.violating_then_compliant_slot(
+            engine, rack, use_battery_transition=True
+        )
+        assert delivered_j > 0.0
+        assert absorbed_j > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

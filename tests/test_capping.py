@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import BudgetLevel, DataCenterSimulation, SimulationConfig
+from repro.faults import FaultInjector, FaultPlan
 from repro.network import Request
 from repro.power import CappingScheme, PowerBudget
-from repro.workloads import COLLA_FILT, K_MEANS, TrafficClass
+from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
 
 
 def load_rack(rack, rtype=COLLA_FILT, per_server=8):
@@ -78,6 +80,35 @@ class TestCappingStep:
         load_rack(rack)
         scheme.step()
         assert rack.levels() == [0] * 4
+
+
+class TestCrashRule:
+    #: Meter peak of each seed's run; the crash rule moves levels only.
+    PEAK_W = {1: 356.9875, 2: 354.275, 3: 353.5249404527354}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_survivors_stay_at_the_top_level_after_a_crash(self, seed):
+        """A crashed server predicts 0 W, as it draws, so Capping does
+        not throttle the survivors for watts the dead server would draw
+        at its idle floor."""
+        sim = DataCenterSimulation(
+            SimulationConfig(budget_level=BudgetLevel.LOW, seed=seed),
+            scheme=CappingScheme(),
+        )
+        sim.add_normal_traffic(rate_rps=40)
+        sim.add_flood(
+            mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+            rate_rps=220,
+            num_agents=20,
+            start_s=20,
+        )
+        # Server 0 crashes at t = 30 s and stays down for the whole run.
+        FaultInjector(sim, FaultPlan(seed=seed).server_crash(30.0, 0, 1000.0)).arm()
+        sim.run(200.0)
+        after = [s.mean_level for s in sim.meter.samples if s.time_s > 40.0]
+        assert len(after) == 160
+        assert all(level == 12 for level in after)
+        assert sim.meter.peak_power() == self.PEAK_W[seed]
 
 
 class TestHysteresis:

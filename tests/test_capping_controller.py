@@ -123,11 +123,11 @@ def _reference_plan(max_level, hysteresis, cap_w, predict, current_p, current_q)
 
     choice = fitting(lambda p: predict(p, max_level), current_p)
     if choice is not None:
-        return ThrottlePlan(choice, max_level, predict(choice, max_level), True)
+        return ThrottlePlan(choice, max_level, True)
     choice = fitting(lambda q: predict(0, q), current_q)
     if choice is not None:
-        return ThrottlePlan(0, choice, predict(0, choice), True)
-    return ThrottlePlan(0, 0, predict(0, 0), False)
+        return ThrottlePlan(0, choice, True)
+    return ThrottlePlan(0, 0, False)
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,8 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     assert "tests/test_watts_memo.py" in runs
     # The capping controller against copies of its old search loops.
     assert "tests/test_capping_controller.py" in runs
+    # Table 2 as algebra: a degenerate scheme equals a simpler one.
+    assert "tests/test_scheme_pairs.py" in runs
     # Cross-engine identity must exercise the process pool too.
     assert "REPRO_BENCH_ENGINE=scalar" in runs
     assert "REPRO_BENCH_ENGINE=batched" in runs

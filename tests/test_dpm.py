@@ -30,7 +30,7 @@ class TestPhase1SuspectOnly:
         plan = planner.plan(360.0, predict, 12, 12)
         assert plan.innocent_level == 12  # innocent untouched
         assert plan.suspect_level == 8
-        assert plan.predicted_power_w <= 360.0
+        assert predict(plan.suspect_level, plan.innocent_level) <= 360.0
 
     def test_picks_highest_fitting_suspect_level(self):
         planner = DPMPlanner(max_level=12, hysteresis=0.0)
@@ -47,7 +47,7 @@ class TestPhase2InnocentFallback:
         plan = planner.plan(240.0, predict, 12, 12)
         assert plan.suspect_level == 0
         assert plan.innocent_level < 12
-        assert plan.predicted_power_w <= 240.0
+        assert predict(plan.suspect_level, plan.innocent_level) <= 240.0
         assert plan.feasible
         assert plan.degrades_innocent(12)
 

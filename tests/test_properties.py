@@ -191,7 +191,7 @@ class TestDPMProperties:
         predict = lambda p, q: base + suspect_w * p + innocent_w * q
         plan = planner.plan(cap, predict, 12, 12)
         if plan.feasible:
-            assert plan.predicted_power_w <= cap + 1e-9
+            assert predict(plan.suspect_level, plan.innocent_level) <= cap + 1e-9
         else:
             # Infeasible means even the deepest throttle violates.
             assert predict(0, 0) > cap

@@ -177,6 +177,11 @@ class TestValidation:
         server = Server(0, engine, rng)
         with pytest.raises(ValueError, match="outside ladder"):
             server.power_at_level(level)
+        # A failed server predicts 0 W on the ladder, and still checks it.
+        server.fail()
+        assert [server.power_at_level(lv) for lv in range(13)] == [0.0] * 13
+        with pytest.raises(ValueError, match="outside ladder"):
+            server.power_at_level(level)
 
 
 class TestQueueTimeout:
