@@ -44,7 +44,6 @@ def run(autoscale: bool):
         # Fixed minimal footprint: one active server, rest gated.
         for server in sim.rack.servers[1:]:
             server.set_powered(False)
-        sim.nlb.servers[:] = sim.rack.servers[:1]
     sim.add_normal_traffic(rate_rps=15)
     sim.add_flood(
         mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),

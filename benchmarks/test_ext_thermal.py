@@ -80,7 +80,7 @@ def test_ext_thermal(benchmark):
     assert unmanaged_mon.max_temperature() > 60.0
     # Anti-DOPE never trips an innocent-pool server.
     innocent_ids = set(
-        s.server_id for s in anti_sim.scheme.policy.innocent_pool
+        s.server_id for s in anti_sim.scheme.policy.innocent_pool.members
     )
     tripped = set(anti_mon.stats.emergency_server_ids)
     assert not (tripped & innocent_ids)

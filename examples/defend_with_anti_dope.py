@@ -77,7 +77,7 @@ def main() -> None:
     print(
         "Steps 2-3: PDF installed; suspect pool = servers "
         f"{policy.suspect_server_ids}, innocent pool = servers "
-        f"{[s.server_id for s in policy.innocent_pool]}; "
+        f"{[s.server_id for s in policy.innocent_pool.members]}; "
         f"RPM/DPM armed ({config.slot_s:g} s slots)\n"
     )
 

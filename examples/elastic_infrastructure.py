@@ -35,7 +35,6 @@ def autoscaling_demo() -> None:
             scaler = None
             for server in sim.rack.servers[1:]:
                 server.set_powered(False)
-            sim.nlb.servers[:] = sim.rack.servers[:1]
         sim.add_normal_traffic(rate_rps=15)
         sim.add_flood(mix=ATTACK, rate_rps=250, num_agents=20, start_s=60)
         sim.run(240)

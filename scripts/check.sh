@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Repo health gate: domain lint, the runner test modules, a 2-worker
-# smoke sweep and a 2-worker chaos smoke (exercise the process pool and
-# the fault-injection layer end to end), the perfbench tests, then the
-# full tier-1 test suite. Run from the repo root.
+# smoke sweep and 2-worker chaos smokes on the flat rack and on the
+# tree-small power tree (exercise the process pool, the fault-injection
+# layer and the fabric's crash path end to end), the perfbench tests,
+# then the full tier-1 test suite. Run from the repo root.
 #
 #   scripts/check.sh              lint + runner tests + smoke sweep +
-#                                 perfbench tests + suite
+#                                 chaos smokes + perfbench tests + suite
 #   scripts/check.sh --lint-only  just the full REP001-REP012 rule set
 #                                 (fast, well under 10 s)
 #   scripts/check.sh --ci         the same gate, non-interactive: junit
@@ -50,6 +51,10 @@ python -m repro sweep --types colla-filt --rates 60 --window 10 --workers 2
 
 echo "== 2-worker chaos smoke =="
 python -m repro chaos --smoke --workers 2 --out CHAOS_smoke.json
+rm -f CHAOS_smoke.json
+
+echo "== 2-worker chaos smoke on tree-small =="
+python -m repro chaos --smoke --topology tree-small --workers 2 --out CHAOS_smoke.json
 rm -f CHAOS_smoke.json
 
 echo "== perfbench tests =="

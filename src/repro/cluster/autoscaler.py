@@ -61,8 +61,10 @@ class AutoScaler:
     Parameters
     ----------
     engine, rack, nlb:
-        Simulation wiring.  The scaler mutates ``nlb.servers`` so the
-        balancer only routes to in-rotation nodes.
+        Simulation wiring.  The scaler reassigns ``nlb.rotation`` so the
+        balancer only routes to in-rotation nodes.  Only round-robin
+        reads the rotation: PDF, the online detector and the fabric
+        route over pools of their own.
     min_active, max_active:
         Bounds on the active set (defaults: 1 … all servers).
     high_util, low_util:
@@ -200,7 +202,7 @@ class AutoScaler:
         self._draining = still
 
     def _sync_rotation(self) -> None:
-        self.nlb.servers[:] = self.active
+        self.nlb.rotation.assign(self.active)
 
     @property
     def num_active(self) -> int:

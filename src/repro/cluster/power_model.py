@@ -22,7 +22,7 @@ This separation is the mechanism behind the paper's key observations:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .._validation import check_fraction, check_int, check_positive
 from ..workloads.catalog import RequestType
@@ -99,16 +99,6 @@ class ServerPowerModel:
         return self._per_worker * rtype.dynamic_power_factor(
             freq_ratio, alpha=self.alpha
         )
-
-    def power(
-        self, active_types: Iterable[RequestType], freq_ratio: float
-    ) -> float:
-        """Total server power for the given set of busy workers."""
-        dyn = sum(
-            rtype.dynamic_power_factor(freq_ratio, alpha=self.alpha)
-            for rtype in active_types
-        )
-        return self.idle_power(freq_ratio) + self._per_worker * dyn
 
     def power_from_counts(
         self,

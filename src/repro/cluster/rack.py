@@ -113,9 +113,9 @@ class Rack:
         return sum(s.energy_joules() for s in self.servers)
 
     def idle_floor(self) -> float:
-        """Rack power with all servers idle at their current levels."""
+        """Rack power with the healthy servers idle at their current levels."""
         return sum(
-            s.power_model.idle_power(s.freq_ratio) for s in self.servers
+            s.power_model.idle_power(s.freq_ratio) for s in self.servers if s.healthy
         )
 
     def levels(self) -> List[int]:
@@ -129,18 +129,6 @@ class Rack:
     def total_in_system(self) -> int:
         """Requests queued or in service anywhere in the rack."""
         return sum(s.in_system for s in self.servers)
-
-    # ------------------------------------------------------------------
-    # Health
-    # ------------------------------------------------------------------
-    def healthy_servers(self) -> List[Server]:
-        """Servers currently able to accept traffic."""
-        return [s for s in self.servers if s.healthy]
-
-    @property
-    def num_healthy(self) -> int:
-        """Count of healthy servers."""
-        return sum(1 for s in self.servers if s.healthy)
 
     # ------------------------------------------------------------------
     # Bulk DVFS operations

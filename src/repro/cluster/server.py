@@ -30,6 +30,7 @@ from typing import Callable, Deque, Dict, List, Optional
 import numpy as np
 
 from .._validation import check_int
+from ..network.pool import ServerPool
 from ..network.request import Request, RequestOutcome
 from ..sim.engine import EventEngine
 from ..sim.events import Event
@@ -147,10 +148,10 @@ class Server:
         self.level = self.ladder.max_level
         self.powered_on = True
         self.failed = False
-        #: Plain attribute (kept in sync by the three health mutators)
-        #: so the NLB's per-dispatch health scan is one load, not a
-        #: property call.
+        #: Written only by :meth:`_set_healthy`, which refreshes
+        #: ``pools`` (each pool registers itself) when it flips.
         self.healthy = True
+        self.pools: List[ServerPool] = []
         self._queue: Deque[Request] = deque()
         self._active: Dict[int, _ActiveEntry] = {}
 
@@ -412,7 +413,7 @@ class Server:
             )
         self._accrue()
         self.powered_on = on
-        self.healthy = on and not self.failed
+        self._set_healthy(on and not self.failed)
         self._power_dirty = True
 
     # ------------------------------------------------------------------
@@ -427,14 +428,15 @@ class Server:
         closed-loop clients observe the failure instead of deadlocking.
         Queued requests have done no work yet; they are handed to
         *shed_sink* (the NLB re-route path) when given, and reported as
-        ``FAILED_SERVER`` otherwise.  Idempotent.
+        ``FAILED_SERVER`` otherwise.  The server's pools drop it before
+        either happens, because both re-enter the NLB.  Idempotent.
         """
         if self.failed:
             return
         # Charge energy/busy time at the pre-crash power level first.
         self._accrue()
         self.failed = True
-        self.healthy = False
+        self._set_healthy(False)
         self.crashes += 1
         self._counters.inc("cluster.server_failures")
         now = self._clock._now
@@ -466,9 +468,15 @@ class Server:
         # Downtime accrues at zero power.
         self._accrue()
         self.failed = False
-        self.healthy = self.powered_on
+        self._set_healthy(self.powered_on)
         self._power_dirty = True
         self._counters.inc("cluster.server_recoveries")
+
+    def _set_healthy(self, healthy: bool) -> None:
+        if healthy != self.healthy:
+            self.healthy = healthy
+            for pool in self.pools:
+                pool.refresh()
 
     def _terminate(
         self, request: Request, outcome: RequestOutcome, now: float

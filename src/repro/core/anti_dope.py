@@ -95,7 +95,7 @@ class SuspectPoolScheme(PowerManagementScheme):
         planner.  Called once, at bind, with the final carve."""
         self.policy = policy
         if self.suspect_queue_factor is not None:
-            for server in policy.suspect_pool:
+            for server in policy.suspect_pool.members:
                 cap = int(self.suspect_queue_factor * server.num_workers)
                 server.queue_capacity = min(server.queue_capacity, cap)
         self.planner = DPMPlanner(self.rack.ladder.max_level, self.hysteresis)
@@ -112,15 +112,15 @@ class SuspectPoolScheme(PowerManagementScheme):
         attached sensor degrades the slot too), asks DPM for
         ``TL(p, q)`` and applies it to the healthy servers, suspect pool
         first.  Each pool's current level is the lowest among its
-        healthy members, or the ladder top when none is left; a server
-        that is not healthy predicts 0 W and keeps its level.  With the
+        ``alive`` members, or the ladder top when none is left; a server
+        that is not healthy is left out and keeps its level.  With the
         battery transition on, the battery carries the deficit of a
         violating slot that changed a level, recharges from the
         headroom of a compliant slot and idles otherwise.
         """
         self._require_bound()
-        suspect = self.policy.suspect_pool
-        innocent = self.policy.innocent_pool
+        suspect = self.policy.suspect_pool.alive
+        innocent = self.policy.innocent_pool.alive
         power_w = self.current_power()
         deficit = self.budget.deficit(power_w)
         top = self.rack.ladder.max_level
@@ -128,8 +128,8 @@ class SuspectPoolScheme(PowerManagementScheme):
             self.budget.supply_w,
             lambda p, q: servers_power_at_level(suspect, p)
             + servers_power_at_level(innocent, q),
-            min((s.level for s in suspect if s.healthy), default=top),
-            min((s.level for s in innocent if s.healthy), default=top),
+            min((s.level for s in suspect), default=top),
+            min((s.level for s in innocent), default=top),
         )
         reconfigured = False
         for pool, level in (
@@ -137,7 +137,7 @@ class SuspectPoolScheme(PowerManagementScheme):
             (innocent, plan.innocent_level),
         ):
             for server in pool:
-                if server.healthy and server.level != level:
+                if server.level != level:
                     # set_level reschedules events: suspect pool first.
                     server.set_level(level)
                     reconfigured = True

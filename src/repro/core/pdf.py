@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 from .._validation import check_int, require
 from ..cluster.server import Server
 from ..network.load_balancer import RoundRobinPolicy
+from ..network.pool import ServerPool
 from ..network.request import Request
 from ..obs import Recorder
 from .suspect_list import SuspectList
@@ -55,8 +56,9 @@ class SuspectPoolPolicy:
     """Two-pool forwarding: the isolation half every suspect-pool defence
     shares.
 
-    Holds the innocent/suspect server carve, one round-robin rotation
-    per pool and the health scan.  Subclasses classify the request in
+    Holds the innocent/suspect server carve as two server pools
+    (:class:`~repro.network.pool.ServerPool`), one round-robin rotation
+    per pool and the failover rule.  Subclasses classify the request in
     their own ``select`` and name the counter bumped on failover.
     """
 
@@ -71,37 +73,26 @@ class SuspectPoolPolicy:
     ) -> None:
         require(len(innocent_pool) > 0, "innocent pool must be non-empty")
         require(len(suspect_pool) > 0, "suspect pool must be non-empty")
-        self.innocent_pool = list(innocent_pool)
-        self.suspect_pool = list(suspect_pool)
+        self.innocent_pool = ServerPool(innocent_pool)
+        self.suspect_pool = ServerPool(suspect_pool)
         self._innocent_rr = RoundRobinPolicy()
         self._suspect_rr = RoundRobinPolicy()
         self._counters = (obs if obs is not None else Recorder()).counters
 
-    def _alive(
-        self, preferred: Sequence[Server], fallback: Sequence[Server]
-    ) -> Sequence[Server]:
-        """Healthy members of *preferred*, else failover to *fallback*.
-
-        Crashed servers are skipped; when a pool is entirely dead the
-        request fails over to the other pool's survivors (isolation is
-        worth less than availability), and the NLB's retry path handles
-        a fully-dead rack before the policy ever sees the request.
-        """
-        for server in preferred:
-            if not server.healthy:
-                break
-        else:
-            return preferred
-        alive = [s for s in preferred if s.healthy]
+    def _alive(self, preferred: ServerPool, fallback: ServerPool) -> List[Server]:
+        """*preferred*'s healthy members, else failover to *fallback*'s:
+        isolation is worth less than availability.  The NLB's retry path
+        handles a fully-dead rack before the policy sees the request."""
+        alive = preferred.alive
         if alive:
             return alive
         self._counters.inc(self.failover_counter)
-        return [s for s in fallback if s.healthy]
+        return fallback.alive
 
     @property
     def suspect_server_ids(self) -> List[int]:
         """Rack ids of the isolated pool (the RPM throttle targets)."""
-        return [s.server_id for s in self.suspect_pool]
+        return [s.server_id for s in self.suspect_pool.members]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(suspect_pool={self.suspect_server_ids})"
@@ -147,8 +138,8 @@ class PDFPolicy(SuspectPoolPolicy):
     def select(self, request: Request, servers: Sequence[Server]) -> Server:
         """Route by suspect-list classification of the request URL.
 
-        The *servers* argument (the NLB's full pool) is ignored in
-        favour of the pools fixed at construction: the carve-out must
+        The *servers* argument (the NLB rotation's alive list) is ignored
+        in favour of the pools fixed at construction: the carve-out must
         stay consistent with the power manager's view.
         """
         if request.rtype.url in self._suspect_urls:

@@ -1,8 +1,9 @@
-"""Network substrate: requests, sources, firewall, load balancer."""
+"""Network substrate: requests, sources, firewall, load balancer, pools."""
 
 from .fabric import FlowletEcmpFabric, ecmp_path, splitmix64
 from .firewall import NullFirewall, RateLimitFirewall
 from .load_balancer import NetworkLoadBalancer, RetryPolicy, RoundRobinPolicy
+from .pool import ServerPool
 from .request import (
     FAULT_OUTCOMES,
     POLICY_OUTCOMES,
@@ -25,6 +26,7 @@ __all__ = [
     "NetworkLoadBalancer",
     "RetryPolicy",
     "RoundRobinPolicy",
+    "ServerPool",
     "FlowletEcmpFabric",
     "ecmp_path",
     "splitmix64",

@@ -11,9 +11,10 @@ attack flows spread across racks instead of heating one of them.
 
 :class:`FlowletEcmpFabric` is a drop-in
 :class:`~repro.network.load_balancer.ForwardingPolicy`: the NLB still
-owns ingress (firewall → admission → healthy filter) and hands this
-policy the healthy server list; the fabric picks the rack via the path
-hash and rotates within the rack.  Hashing is a seeded splitmix64 mix —
+owns ingress (firewall → admission → retry when nothing is alive); the
+fabric picks the rack via the path hash and rotates over that rack's
+``alive`` list (:class:`~repro.network.pool.ServerPool`), ignoring the
+list the NLB passes.  Hashing is a seeded splitmix64 mix —
 never Python's per-process-salted ``hash()`` — so path choices are
 byte-identical across runs, engines and worker processes.
 """
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .._validation import check_int, check_positive
+from .._validation import check_int, check_positive, require
 from ..obs import Counters
+from .pool import ServerPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.server import Server
@@ -85,11 +87,11 @@ class FlowletEcmpFabric:
 
     Parameters
     ----------
-    num_racks, servers_per_rack:
-        Tree edge shape; server *s* lives in rack
-        ``s.server_id // servers_per_rack``.
+    racks:
+        The tree's rack slices, in rack order; each becomes a
+        :class:`~repro.network.pool.ServerPool`.
     num_spines:
-        Spine count; the path space is ``num_spines × num_racks``.
+        Spine count; the path space is ``num_spines × len(racks)``.
     flowlet_gap_s:
         Idle gap after which a flow's next request may re-hash;
         ``None`` pins each flow to its first hashed path forever.
@@ -102,33 +104,31 @@ class FlowletEcmpFabric:
 
     def __init__(
         self,
-        num_racks: int,
-        servers_per_rack: int,
+        racks: Sequence[Sequence["Server"]],
         num_spines: int = 2,
         flowlet_gap_s: Optional[float] = 0.05,
         salt: int = 0,
         obs: Optional["Recorder"] = None,
     ) -> None:
-        check_int("num_racks", num_racks, minimum=1)
-        check_int("servers_per_rack", servers_per_rack, minimum=1)
+        require(
+            len(racks) > 0 and all(len(rack) > 0 for rack in racks),
+            "fabric needs at least one rack, each with a server",
+        )
         check_int("num_spines", num_spines, minimum=1)
         if flowlet_gap_s is not None:
             check_positive("flowlet_gap_s", flowlet_gap_s)
         check_int("salt", salt, minimum=0)
+        num_racks = len(racks)
+        self.racks = [ServerPool(rack) for rack in racks]
         self.num_racks = num_racks
-        self.servers_per_rack = servers_per_rack
-        self.num_spines = num_spines
         self.flowlet_gap_s = flowlet_gap_s
-        self.salt = salt
         # Without a recorder the tallies go to a private table no one reads.
         counters = obs.counters if obs is not None else Counters()
         self._counters = counters
         self._flows: Dict[int, _FlowState] = {}
         self._rack_rr: List[int] = [0] * num_racks
         self._salt_hash = splitmix64(salt & _MASK64)
-        # Read on every new flowlet, so not through the property.
         self._num_paths = num_spines * num_racks
-        self._fleet_size = num_racks * servers_per_rack
         self._flowlets = counters.cell("fabric.flowlets")
         self._path_switches = counters.cell("fabric.path_switches")
         self._forwarded = [
@@ -136,46 +136,20 @@ class FlowletEcmpFabric:
             for rack_idx in range(num_racks)
         ]
 
-    @property
-    def num_paths(self) -> int:
-        """Size of the ECMP path space."""
-        return self._num_paths
-
-    def path_of(self, flow_id: int) -> Optional[int]:
-        """The path flow *flow_id* is currently hashed to (None = unseen)."""
-        state = self._flows.get(flow_id)
-        return state.path if state is not None else None
-
-    def rack_of_path(self, path: int) -> int:
-        """The destination rack of *path* (spine = ``path // num_racks``)."""
-        check_int("path", path, minimum=0)
-        if path >= self._num_paths:
-            raise ValueError(
-                f"path {path} outside the fabric's {self._num_paths} paths"
-            )
-        return path % self.num_racks
-
     # ------------------------------------------------------------------
     # ForwardingPolicy protocol
     # ------------------------------------------------------------------
     def select(
         self, request: "Request", servers: Sequence["Server"]
     ) -> "Server":
-        """Pick the backend for *request* among healthy *servers*.
+        """Pick the backend for *request*; *servers* is not read.
 
         Resolution order: flowlet-aware path hash → destination rack →
-        round-robin within the rack's healthy members.  When the hashed
-        rack has no healthy member the fabric probes subsequent racks in
-        deterministic order (a failover re-route, counted separately so
-        chaos runs can see re-routing happen).
-
-        *servers* must be in rack order, that is ascending
-        ``server_id`` — as the NLB always passes them.  Then, when it
-        is the whole fleet (``num_racks × servers_per_rack`` servers,
-        the last one ``server_id == num_racks × servers_per_rack − 1``),
-        rack *k*'s members are the run ``servers[k·per : (k+1)·per]``
-        and the pick indexes into that run directly; any other list
-        takes the scan over its members.
+        round-robin over that rack's ``alive`` list.  When the hashed
+        rack has no healthy member the fabric probes the following
+        racks' lists in order (a failover re-route, counted separately
+        so chaos runs can see re-routing happen).  The NLB calls only
+        while some server is alive; with every rack down this raises.
         """
         flow_id = request.source_id
         now_s = request.arrival_time_s
@@ -204,34 +178,19 @@ class FlowletEcmpFabric:
                 state.path = new_path
             state.last_seen_s = now_s
         rack_idx = state.path % num_racks
-        size = self._fleet_size
-        if len(servers) == size and servers[-1].server_id == size - 1:
-            per_rack = self.servers_per_rack
-            slot = self._rack_rr[rack_idx] % per_rack
-            self._rack_rr[rack_idx] = slot + 1
-            self._forwarded[rack_idx][0] += 1
-            return servers[rack_idx * per_rack + slot]
-        candidates = self._rack_members(rack_idx, servers)
-        if not candidates:
+        racks = self.racks
+        alive = racks[rack_idx].alive
+        if not alive:
             for offset in range(1, num_racks):
                 probe_idx = (rack_idx + offset) % num_racks
-                candidates = self._rack_members(probe_idx, servers)
-                if candidates:
+                alive = racks[probe_idx].alive
+                if alive:
                     self._counters.inc("fabric.failovers")
                     rack_idx = probe_idx
                     break
-        if not candidates:
-            # The NLB only calls with a non-empty healthy list, so some
-            # rack always matches; this guards a direct caller handing
-            # servers from outside the fabric's rack range.
-            candidates = list(servers)
-        slot = self._rack_rr[rack_idx] % len(candidates)
+            else:
+                raise ValueError("no healthy server in any rack")
+        slot = self._rack_rr[rack_idx] % len(alive)
         self._rack_rr[rack_idx] = slot + 1
         self._forwarded[rack_idx][0] += 1
-        return candidates[slot]
-
-    def _rack_members(
-        self, rack_idx: int, servers: Sequence["Server"]
-    ) -> List["Server"]:
-        per_rack = self.servers_per_rack
-        return [s for s in servers if s.server_id // per_rack == rack_idx]
+        return alive[slot]

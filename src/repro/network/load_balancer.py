@@ -14,11 +14,12 @@ shaping — the Token scheme's power token bucket is one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from .._validation import check_int, check_non_negative, check_positive, require
 from ..obs import Recorder
 from .firewall import RateLimitFirewall
+from .pool import ServerPool
 from .request import Request, RequestOutcome
 
 __all__ = [
@@ -76,7 +77,8 @@ class ForwardingPolicy(Protocol):
     """Strategy: choose the backend server for a request."""
 
     def select(self, request: Request, servers: Sequence[Server]) -> Server:
-        """Return the server *request* should be forwarded to."""
+        """Return the server for *request*; *servers* is the NLB
+        rotation's ``alive`` list, never empty."""
         ...
 
 
@@ -109,7 +111,7 @@ class NetworkLoadBalancer:
     Parameters
     ----------
     servers:
-        Backend pool in rack order.
+        Backend rotation in rack order, held as :attr:`rotation`.
     policy:
         Forwarding strategy (default round-robin).
     firewall:
@@ -125,7 +127,7 @@ class NetworkLoadBalancer:
         private recorder (the simulation facade passes the engine's).
     retry_policy:
         Backoff policy for requests that find no healthy backend
-        (crashed or powered-off servers are skipped in rotation).
+        (crashed or powered-off servers leave ``rotation.alive``).
         Retries need a *scheduler*; without one the request is dropped
         immediately as ``DROPPED_NO_BACKEND``.
     scheduler:
@@ -146,7 +148,7 @@ class NetworkLoadBalancer:
         scheduler: Optional[Scheduler] = None,
     ) -> None:
         require(len(servers) > 0, "NLB needs at least one backend")
-        self.servers: List[Server] = list(servers)
+        self.rotation = ServerPool(servers)
         self.policy: ForwardingPolicy = policy or RoundRobinPolicy()
         self.firewall = firewall
         self.admission_filter = admission_filter
@@ -200,14 +202,10 @@ class NetworkLoadBalancer:
 
     def _forward(self, request: Request, now: float) -> bool:
         """Select a healthy backend and submit; retry/drop when none."""
-        healthy = self.servers
-        for server in healthy:
-            if not server.healthy:
-                healthy = [s for s in healthy if s.healthy]
-                if not healthy:
-                    return self._retry_or_drop(request, now)
-                break
-        server = self.policy.select(request, healthy)
+        alive = self.rotation.alive
+        if not alive:
+            return self._retry_or_drop(request, now)
+        server = self.policy.select(request, alive)
         if not server.submit(request):
             self._drop(request, RequestOutcome.DROPPED_QUEUE_FULL, now)
             return False
@@ -258,6 +256,6 @@ class NetworkLoadBalancer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"NetworkLoadBalancer({len(self.servers)} backends, "
+            f"NetworkLoadBalancer({len(self.rotation.members)} backends, "
             f"forwarded={self.forwarded}, dropped={self.dropped})"
         )

@@ -334,9 +334,17 @@ class PowerManagementScheme:
 
 
 class NullScheme(PowerManagementScheme):
-    """No power management at all — the unconstrained reference arm."""
+    """No power management at all — the unconstrained reference arm.
+
+    On a tree, per-PDU protection caps a node for one slot at a time.
+    """
 
     name = "none"
 
     def __init__(self) -> None:
         super().__init__()  # no controller here reads the hysteresis band
+
+    def step(self) -> None:
+        """Hold every server at nominal frequency."""
+        self._require_bound()
+        self.rack.set_all_levels(self.rack.ladder.max_level)

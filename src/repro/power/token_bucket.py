@@ -20,7 +20,7 @@ from typing import Optional
 
 from .._validation import check_positive
 from ..network.request import Request
-from .manager import PowerManagementScheme
+from .manager import NullScheme
 
 __all__ = [
     "PowerTokenBucket",
@@ -82,13 +82,14 @@ class PowerTokenBucket:
         return self.dropped / total if total else 0.0
 
 
-class TokenScheme(PowerManagementScheme):
-    """Power-based token-bucket traffic control.
+class TokenScheme(NullScheme):
+    """Power-based token-bucket traffic control: Null plus a bucket.
 
-    Purely network-side: servers always run at nominal frequency and
-    the budget is enforced by refusing admission.  The per-request cost
-    is the power model's closed-form energy estimate at nominal
-    frequency — the same offline profile Anti-DOPE's suspect list uses.
+    Purely network-side: servers always run at nominal frequency (the
+    inherited :meth:`NullScheme.step`) and the budget is enforced by
+    refusing admission.  The per-request cost is the power model's
+    closed-form energy estimate at nominal frequency — the same offline
+    profile Anti-DOPE's suspect list uses.
 
     Parameters
     ----------
@@ -131,8 +132,3 @@ class TokenScheme(PowerManagementScheme):
         """The power token bucket (installed on the NLB)."""
         self._require_bound()
         return self.bucket
-
-    def step(self) -> None:
-        """Keep servers at nominal — the scheme never throttles."""
-        self._require_bound()
-        self.rack.set_all_levels(self.rack.ladder.max_level)

@@ -171,8 +171,11 @@ class DataCenterSimulation:
         policy = self.scheme.forwarding_policy()
         if policy is None and spec is not None:
             self.fabric = FlowletEcmpFabric(
-                num_racks=spec.num_racks,
-                servers_per_rack=spec.servers_per_rack,
+                [
+                    self.rack.servers[node.start : node.stop]
+                    for node in self.topology.nodes.values()
+                    if node.kind == "rack"
+                ],
                 num_spines=spec.num_spines,
                 flowlet_gap_s=spec.flowlet_gap_s,
                 salt=config.seed,

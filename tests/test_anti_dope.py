@@ -33,14 +33,14 @@ class SharedBinding:
 
     def test_suspect_queue_regulation_applied(self, engine, rack):
         _, policy = self.bound(engine, rack, suspect_queue_factor=3.0)
-        suspect = policy.suspect_pool[0]
+        suspect = policy.suspect_pool.members[0]
         assert suspect.queue_capacity == 3 * suspect.num_workers
-        for innocent in policy.innocent_pool:
+        for innocent in policy.innocent_pool.members:
             assert innocent.queue_capacity == 512
 
     def test_queue_regulation_disabled_with_none(self, engine, rack):
         _, policy = self.bound(engine, rack, suspect_queue_factor=None)
-        assert policy.suspect_pool[0].queue_capacity == 512
+        assert policy.suspect_pool.members[0].queue_capacity == 512
 
     def violating_then_compliant_slot(self, engine, rack, use_battery_transition):
         """Battery flows after a violating slot that reconfigures, and

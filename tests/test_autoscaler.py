@@ -67,7 +67,7 @@ class TestAutoScaler:
     def test_starts_at_minimum_footprint(self, scaled):
         rack, nlb, scaler = scaled
         assert scaler.num_active == 1
-        assert nlb.servers == scaler.active
+        assert list(nlb.rotation.members) == scaler.active
         assert sum(1 for s in rack.servers if s.powered_on) == 1
 
     def test_idle_rack_power_is_one_server(self, scaled):
@@ -121,9 +121,11 @@ class TestAutoScaler:
     def test_rotation_tracks_active_set(self, scaled):
         rack, nlb, scaler = scaled
         scaler._scale_out(1.0)
-        assert len(nlb.servers) == 2
+        assert nlb.rotation.alive == rack.servers[:2]
         scaler._scale_in(0.0)
-        assert len(nlb.servers) == 1
+        assert nlb.rotation.alive == rack.servers[:1]
+        # The drained server left every pool of the rotation it was in.
+        assert [len(s.pools) for s in rack.servers] == [1, 0, 0, 0]
 
     def test_cooldown_limits_action_rate(self, engine, scaled):
         rack, nlb, scaler = scaled

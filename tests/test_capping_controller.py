@@ -218,7 +218,7 @@ def test_node_enforcement_matches_the_deepest_first_loop(loads, budget_level):
     evals, cap_slots = _reference_node_caps(reference.rack, reference.topology)
 
     sim = _loaded_tree(loads, budget_level)
-    sim.scheme.slot_tick()  # NullScheme: the slot is per-PDU enforcement only
+    sim.scheme._enforce_node_budgets()
     assert sim.rack.levels() == reference.rack.levels()
     counters = sim.obs.counters.as_dict()
     assert counters.get("power.prediction_evals", 0) == evals

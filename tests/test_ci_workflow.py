@@ -129,9 +129,11 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     # numpy's named distributions against the request path's direct
     # call forms: a numpy release that breaks the identity fails here.
     assert "tests/test_rng_forms.py" in runs
-    # The power-tree request path's caches against their uncached
-    # references: the fabric's rack indexing and the memoised watts.
-    assert "tests/test_fabric_fast_path.py" in runs
+    # The request path's state against the per-request work it
+    # replaced: server pools against the health scans, and the
+    # memoised watts against their uncached reference.
+    assert "tests/test_server_pools.py" in runs
+    assert "tests/test_fabric_fast_path.py" not in runs
     assert "tests/test_watts_memo.py" in runs
     # The capping controller against copies of its old search loops.
     assert "tests/test_capping_controller.py" in runs
@@ -196,3 +198,10 @@ def test_ci_commands_reference_only_existing_paths(workflow):
                 for token in line.split():
                     if token.startswith("tests/test_"):
                         assert (root / token).is_file(), token
+
+
+def test_check_script_runs_the_flat_and_the_tree_chaos_smoke():
+    # The tree smoke runs the fabric's crash path in the gate.
+    script = (Path(__file__).parent.parent / "scripts" / "check.sh").read_text()
+    assert "python -m repro chaos --smoke --workers 2" in script
+    assert "python -m repro chaos --smoke --topology tree-small --workers 2" in script

@@ -1,16 +1,17 @@
-"""Unit coverage of flowlet-aware ECMP forwarding (repro.network.fabric)."""
+"""Unit coverage of flowlet-aware ECMP forwarding (repro.network.fabric).
+
+The fabric reads its racks' ``alive`` lists and never the list the NLB
+passes, so every pick below is made with an empty one.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Rack
 from repro.network import FlowletEcmpFabric, ecmp_path, splitmix64
 from repro.obs import Recorder
-
-
-class _FakeServer:
-    def __init__(self, server_id: int) -> None:
-        self.server_id = server_id
+from repro.sim.engine import EventEngine
 
 
 class _FakeRequest:
@@ -19,14 +20,21 @@ class _FakeRequest:
         self.arrival_time_s = arrival_time_s
 
 
-def _fleet(num_racks=4, servers_per_rack=4):
-    return [_FakeServer(i) for i in range(num_racks * servers_per_rack)]
+def _racks(num_racks=4, servers_per_rack=4):
+    """Rack slices of real servers; server *s* lives in rack s // per."""
+    servers = Rack(EventEngine(), num_servers=num_racks * servers_per_rack).servers
+    return [
+        servers[k * servers_per_rack : (k + 1) * servers_per_rack]
+        for k in range(num_racks)
+    ]
 
 
-def _fabric(obs=None, **kwargs):
-    kwargs.setdefault("num_racks", 4)
-    kwargs.setdefault("servers_per_rack", 4)
-    return FlowletEcmpFabric(obs=obs, **kwargs)
+def _fabric(obs=None, num_racks=4, servers_per_rack=4, **kwargs):
+    return FlowletEcmpFabric(_racks(num_racks, servers_per_rack), obs=obs, **kwargs)
+
+
+def _pick(fabric, flow, now_s):
+    return fabric.select(_FakeRequest(flow, now_s), ())
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +88,7 @@ def test_cached_flow_hash_follows_ecmp_path(
     salt, num_racks, num_spines, gap_s, arrivals
 ):
     # select() keeps each flow's salted hash instead of recomputing it;
-    # the path it lands on must still be ecmp_path's, flowlet by flowlet.
+    # the rack it lands in must still be ecmp_path's, flowlet by flowlet.
     fabric = _fabric(
         num_racks=num_racks,
         servers_per_rack=2,
@@ -88,21 +96,19 @@ def test_cached_flow_hash_follows_ecmp_path(
         flowlet_gap_s=gap_s,
         salt=salt,
     )
-    servers = _fleet(num_racks, 2)
     now_s = 0.0
     last_seen = {}
     flowlet = {}
     for flow, step_s in arrivals:
         now_s += step_s
-        fabric.select(_FakeRequest(flow, now_s), servers)
+        chosen = _pick(fabric, flow, now_s)
         if flow not in flowlet:
             flowlet[flow] = 0
         elif gap_s is not None and now_s - last_seen[flow] > gap_s:
             flowlet[flow] += 1
         last_seen[flow] = now_s
-        assert fabric.path_of(flow) == ecmp_path(
-            salt, flow, flowlet[flow], fabric.num_paths
-        )
+        path = ecmp_path(salt, flow, flowlet[flow], num_spines * num_racks)
+        assert chosen.server_id // 2 == path % num_racks
 
 
 # ----------------------------------------------------------------------
@@ -112,25 +118,20 @@ def test_cached_flow_hash_follows_ecmp_path(
 
 def test_pinned_flow_always_lands_in_its_hashed_rack():
     fabric = _fabric(flowlet_gap_s=None, salt=3)
-    servers = _fleet()
-    first = fabric.select(_FakeRequest(42, 0.0), servers)
-    rack = first.server_id // 4
+    rack = _pick(fabric, 42, 0.0).server_id // 4
+    assert rack == ecmp_path(3, 42, 0, 8) % 4
     # Long gaps between requests: a pinned flow must never re-hash.
     for step in range(1, 50):
-        chosen = fabric.select(_FakeRequest(42, step * 10.0), servers)
-        assert chosen.server_id // 4 == rack
-    assert fabric.path_of(42) is not None
-    assert fabric.rack_of_path(fabric.path_of(42)) == rack
+        assert _pick(fabric, 42, step * 10.0).server_id // 4 == rack
 
 
 def test_flowlet_gap_allows_rehash_and_counts_switches():
     obs = Recorder()
     fabric = _fabric(obs=obs, flowlet_gap_s=0.05, salt=0)
-    servers = _fleet()
     # Bursts separated by 10x the flowlet gap: each burst may re-hash.
     for flow in range(8):
         for burst in range(20):
-            fabric.select(_FakeRequest(flow, burst * 0.5), servers)
+            _pick(fabric, flow, burst * 0.5)
     counters = obs.counters
     assert counters.get("fabric.flows") == 8
     # Every burst after the first opens a new flowlet per flow.
@@ -142,20 +143,15 @@ def test_flowlet_gap_allows_rehash_and_counts_switches():
 def test_requests_within_the_gap_do_not_open_flowlets():
     obs = Recorder()
     fabric = _fabric(obs=obs, flowlet_gap_s=0.05)
-    servers = _fleet()
     for i in range(100):
-        fabric.select(_FakeRequest(7, i * 0.01), servers)  # gap 10 ms < 50 ms
+        _pick(fabric, 7, i * 0.01)  # gap 10 ms < 50 ms
     assert obs.counters.get("fabric.flowlets") == 1
     assert obs.counters.get("fabric.path_switches") == 0
 
 
 def test_round_robin_rotates_within_the_destination_rack():
     fabric = _fabric(flowlet_gap_s=None)
-    servers = _fleet()
-    chosen = [
-        fabric.select(_FakeRequest(5, i * 0.001), servers).server_id
-        for i in range(8)
-    ]
+    chosen = [_pick(fabric, 5, i * 0.001).server_id for i in range(8)]
     racks = {s // 4 for s in chosen}
     assert len(racks) == 1
     # Four members, eight picks: each member served exactly twice.
@@ -171,29 +167,31 @@ def test_round_robin_rotates_within_the_destination_rack():
 def test_failover_probes_the_next_rack_when_hashed_rack_is_down():
     obs = Recorder()
     fabric = _fabric(obs=obs, flowlet_gap_s=None)
-    servers = _fleet()
-    target = fabric.select(_FakeRequest(11, 0.0), servers)
-    rack = target.server_id // 4
-    healthy = [s for s in servers if s.server_id // 4 != rack]
-    rerouted = fabric.select(_FakeRequest(11, 1.0), healthy)
-    assert rerouted.server_id // 4 != rack
+    rack = _pick(fabric, 11, 0.0).server_id // 4
+    for server in fabric.racks[rack].members:
+        server.fail()
+    rerouted = _pick(fabric, 11, 1.0)
+    assert rerouted.server_id // 4 == (rack + 1) % 4
     assert obs.counters.get("fabric.failovers") == 1
+    assert obs.counters.get(f"fabric.forwarded.rack{(rack + 1) % 4}") == 1
 
 
-def test_out_of_range_servers_fall_back_to_the_given_list():
+def test_every_rack_down_raises():
+    # The NLB never calls with nothing alive; a direct caller is told.
     fabric = _fabric(num_racks=2, servers_per_rack=2)
-    outsiders = [_FakeServer(100), _FakeServer(101)]
-    chosen = fabric.select(_FakeRequest(0, 0.0), outsiders)
-    assert chosen in outsiders
+    for pool in fabric.racks:
+        for server in pool.members:
+            server.fail()
+    with pytest.raises(ValueError, match="no healthy server"):
+        _pick(fabric, 0, 0.0)
 
 
 def test_every_select_is_counted_on_exactly_one_rack():
     obs = Recorder()
     fabric = _fabric(obs=obs, flowlet_gap_s=0.05)
-    servers = _fleet()
     n = 500
     for i in range(n):
-        fabric.select(_FakeRequest(i % 13, i * 0.02), servers)
+        _pick(fabric, i % 13, i * 0.02)
     counters = obs.counters.as_dict()
     forwarded = sum(
         value
@@ -205,26 +203,22 @@ def test_every_select_is_counted_on_exactly_one_rack():
 
 def test_fabric_without_recorder_stays_silent():
     fabric = _fabric(obs=None)
-    servers = _fleet()
+    servers = [s for pool in fabric.racks for s in pool.members]
     for i in range(10):
-        assert fabric.select(_FakeRequest(i, i * 0.1), servers) in servers
+        assert _pick(fabric, i, i * 0.1) in servers
 
 
 def test_path_space_and_validation():
-    fabric = _fabric(num_racks=3, servers_per_rack=2, num_spines=4)
-    assert fabric.num_paths == 12
-    assert fabric.path_of(999) is None
+    # 3 racks x 4 spines = 12 paths; rack = path mod 3 for every flow.
+    fabric = _fabric(num_racks=3, servers_per_rack=2, num_spines=4, salt=5)
+    for flow in range(60):
+        path = ecmp_path(5, flow, 0, 12)
+        assert _pick(fabric, flow, 0.0).server_id // 2 == path % 3
+    racks = _racks(2, 2)
+    for bad in ([], [racks[0], []]):
+        with pytest.raises(ValueError, match="at least one rack"):
+            FlowletEcmpFabric(bad)
     with pytest.raises(ValueError):
-        FlowletEcmpFabric(num_racks=0, servers_per_rack=4)
+        FlowletEcmpFabric(racks, flowlet_gap_s=0.0)
     with pytest.raises(ValueError):
-        FlowletEcmpFabric(num_racks=2, servers_per_rack=2, flowlet_gap_s=0.0)
-
-
-def test_rack_of_path_rejects_paths_off_the_fabric():
-    fabric = _fabric(num_racks=4, num_spines=2)  # 8 paths
-    assert [fabric.rack_of_path(p) for p in range(8)] == [0, 1, 2, 3] * 2
-    for path in (8, 99):
-        with pytest.raises(ValueError, match="outside the fabric"):
-            fabric.rack_of_path(path)
-    with pytest.raises(ValueError):
-        fabric.rack_of_path(-1)
+        FlowletEcmpFabric(racks, num_spines=0)

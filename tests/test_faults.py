@@ -20,6 +20,7 @@ from repro.network import (
     Request,
     RequestOutcome,
     RetryPolicy,
+    ServerPool,
 )
 from repro.power import Battery, BudgetLevel, PowerBudget
 from repro.power.manager import NullScheme
@@ -114,9 +115,11 @@ class TestServerCrash:
         assert server.crashes == 1
 
     def test_rack_health_views(self, rack):
+        pool = ServerPool(rack.servers)
         rack.servers[1].fail()
-        assert rack.num_healthy == 3
-        assert rack.servers[1] not in rack.healthy_servers()
+        assert pool.alive == [rack.servers[i] for i in (0, 2, 3)]
+        rack.servers[1].recover()
+        assert pool.alive == rack.servers
 
 
 # ----------------------------------------------------------------------
@@ -357,10 +360,10 @@ class TestFaultInjector:
         sim, injector = faulted_sim(plan=plan)
         probes = []
         sim.engine.schedule_at(
-            6.0, lambda: probes.append(sim.rack.num_healthy)
+            6.0, lambda: probes.append(len(sim.nlb.rotation.alive))
         )
         sim.engine.schedule_at(
-            10.0, lambda: probes.append(sim.rack.num_healthy)
+            10.0, lambda: probes.append(len(sim.nlb.rotation.alive))
         )
         sim.run(12.0)
         assert probes == [0, 4]

@@ -40,19 +40,34 @@ worker_sets = st.lists(
 )
 
 
+def counted_power(model, active, r):
+    """Server power with busy workers *active* at ratio *r*, in the
+    per-type count form (``power_from_counts``) every server evaluates."""
+    slots = list(dict.fromkeys(active))
+    return model.power_from_counts(
+        [active.count(rtype) for rtype in slots],
+        [rtype.dynamic_power_factor(r, alpha=model.alpha) for rtype in slots],
+        model.idle_power(r),
+    )
+
+
 class TestPowerMonotonicity:
     @given(active=worker_sets, extra=st.sampled_from(ALL_TYPES), r=ratios)
     def test_power_monotone_in_utilization(self, active, extra, r):
         """Adding one busy worker never lowers server power."""
         model = ServerPowerModel()
-        assert model.power(active + [extra], r) >= model.power(active, r) - 1e-12
+        assert counted_power(model, active + [extra], r) >= counted_power(
+            model, active, r
+        ) - 1e-12
 
     @given(active=worker_sets, r1=ratios, r2=ratios)
     def test_power_monotone_in_frequency(self, active, r1, r2):
         """Raising the V/F point never lowers power for a fixed load."""
         model = ServerPowerModel()
         lo, hi = min(r1, r2), max(r1, r2)
-        assert model.power(active, lo) <= model.power(active, hi) + 1e-12
+        assert counted_power(model, active, lo) <= counted_power(
+            model, active, hi
+        ) + 1e-12
 
     @given(r=ratios, n=st.integers(min_value=0, max_value=8))
     def test_utilization_slope_matches_worker_power(self, r, n):
@@ -60,7 +75,7 @@ class TestPowerMonotonicity:
         model = ServerPowerModel()
         expected = model.idle_power(r) + n * model.worker_power(COLLA_FILT, r)
         assert math.isclose(
-            model.power([COLLA_FILT] * n, r), expected, rel_tol=1e-12
+            counted_power(model, [COLLA_FILT] * n, r), expected, rel_tol=1e-12
         )
 
 

@@ -25,25 +25,36 @@ class TestIdlePower:
         assert power_model.idle_power(0.5) > 0.5 * power_model.idle_power(1.0)
 
 
+def _busy_power(model, rtype, n, freq_ratio):
+    """Power with *n* workers busy on *rtype*, in the per-type count form
+    (``power_from_counts``) every server evaluates."""
+    return model.power_from_counts(
+        [n],
+        [rtype.dynamic_power_factor(freq_ratio, alpha=model.alpha)],
+        model.idle_power(freq_ratio),
+    )
+
+
 class TestDynamicPower:
     def test_full_load_colla_filt_hits_nameplate(self, power_model):
         assert power_model.full_load_power(COLLA_FILT, 1.0) == pytest.approx(100.0)
 
     def test_power_monotone_in_busy_workers(self, power_model):
-        p1 = power_model.power([COLLA_FILT], 1.0)
-        p2 = power_model.power([COLLA_FILT] * 4, 1.0)
-        p3 = power_model.power([COLLA_FILT] * 8, 1.0)
+        p1 = _busy_power(power_model, COLLA_FILT, 1, 1.0)
+        p2 = _busy_power(power_model, COLLA_FILT, 4, 1.0)
+        p3 = _busy_power(power_model, COLLA_FILT, 8, 1.0)
         assert p1 < p2 < p3
 
     def test_power_monotone_in_frequency(self, power_model):
-        workers = [COLLA_FILT] * 4
-        powers = [power_model.power(workers, r) for r in (0.5, 0.7, 0.9, 1.0)]
+        powers = [
+            _busy_power(power_model, COLLA_FILT, 4, r) for r in (0.5, 0.7, 0.9, 1.0)
+        ]
         assert all(a < b for a, b in zip(powers, powers[1:]))
 
     def test_empty_server_draws_idle_only(self, power_model):
-        assert power_model.power([], 1.0) == pytest.approx(
-            power_model.idle_power(1.0)
-        )
+        assert power_model.power_from_counts(
+            [], [], power_model.idle_power(1.0)
+        ) == pytest.approx(power_model.idle_power(1.0))
 
     def test_volume_dos_power_is_negligible(self, power_model):
         heavy = power_model.worker_power(COLLA_FILT, 1.0)

@@ -53,7 +53,10 @@ class TestPowerModelProperties:
     def test_power_within_physical_bounds(self, r, idx, n):
         model = ServerPowerModel()
         rtype = ALL_TYPES[idx]
-        power = model.power([rtype] * n, r)
+        # The per-type count form every server evaluates.
+        power = model.power_from_counts(
+            [n], [rtype.dynamic_power_factor(r, alpha=model.alpha)], model.idle_power(r)
+        )
         assert model.idle_power(r) <= power <= model.nameplate_w + 1e-9
 
     @given(r1=ratios, r2=ratios, idx=type_idx)

@@ -22,6 +22,16 @@ class TestAggregation:
     def test_idle_floor_matches_total_when_empty(self, rack):
         assert rack.idle_floor() == pytest.approx(rack.total_power())
 
+    def test_idle_floor_leaves_out_servers_that_are_down(self, rack):
+        # The crash rule of Server.power_at_level: a crashed or
+        # powered-off server draws 0 W, so the floor is the 3 survivors'.
+        rack.servers[0].fail()
+        assert rack.idle_floor() == rack.total_power() == 3 * 38.0
+        rack.servers[1].set_powered(False)
+        assert rack.idle_floor() == rack.total_power() == 2 * 38.0
+        rack.servers[0].recover()
+        assert rack.idle_floor() == rack.total_power() == 3 * 38.0
+
     def test_total_in_system(self, engine, rack):
         rack.servers[0].submit(Request(COLLA_FILT, 0, TrafficClass.NORMAL, 0.0))
         rack.servers[2].submit(Request(COLLA_FILT, 1, TrafficClass.NORMAL, 0.0))

@@ -93,7 +93,7 @@ def test_pdf_classifies_as_the_suspect_list(suspect_list):
     for rtype in ALL_TYPES + (_UNPROFILED,):
         request = Request(rtype, 0, TrafficClass.NORMAL, 0.0, 0)
         chosen = policy.select(request, servers)
-        in_suspect_pool = chosen in policy.suspect_pool
+        in_suspect_pool = chosen in policy.suspect_pool.members
         assert in_suspect_pool == suspect_list.is_suspect(rtype.url), rtype.name
 
 

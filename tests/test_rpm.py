@@ -25,7 +25,8 @@ def make_scheme(engine, rack, supply_w, battery=None):
     """(scheme, innocent pool, suspect pool) bound on *rack*."""
     scheme = AntiDopeScheme()
     scheme.bind(engine, rack, PowerBudget(supply_w), battery, 1.0)
-    return scheme, scheme.policy.innocent_pool, scheme.policy.suspect_pool
+    policy = scheme.policy
+    return scheme, policy.innocent_pool.members, policy.suspect_pool.members
 
 
 def spy_on_planner(scheme):

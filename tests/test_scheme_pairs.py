@@ -2,19 +2,23 @@
 
 Table 2 of the paper defines each scheme as a mechanism, so a scheme
 whose extra mechanism can never act must reduce to the simpler one,
-byte for byte.  The pair pinned here:
+byte for byte.  The pairs pinned here:
 
 * ``AntiDopeScheme`` with a suspect list in which every URL is innocent
-  (PDF never isolates anything), against
-* ``OnlineDetectScheme`` with thresholds no score reaches (the
-  detector never quarantines).
+  (PDF never isolates anything), against ``OnlineDetectScheme`` with
+  thresholds no score reaches (the detector never quarantines).  Both
+  then run the same suspect-pool control slot over the same carve, so
+  the completion records and every counter both sides emit must be
+  equal.  The only counters allowed to differ are the ones each side's
+  classifier adds: ``network.pdf_*`` (PDF) and ``detect.*`` (the
+  detector).
+* ``TokenScheme`` with a bucket that never runs dry, against
+  ``NullScheme``.  Token is Null plus the bucket, so the records and
+  the whole counter table must be equal, on a power tree too, where
+  per-PDU protection caps levels within a slot.
 
-Both then run the same suspect-pool control slot over the same carve,
-so the completion records and every counter both sides emit must be
-equal.  The only counters allowed to differ are the ones each side's
-classifier adds: ``network.pdf_*`` (PDF) and ``detect.*`` (the
-detector).  The scenario is the bench scenario at 60 s: LOW budget,
-40 rps normal load and a 220 rps 20-agent flood from t = 30 s.
+The scenario is the bench scenario at 60 s: LOW budget, 40 rps normal
+load and a 220 rps 20-agent flood from t = 30 s.
 """
 
 import dataclasses
@@ -26,8 +30,10 @@ import pytest
 from repro import (
     AntiDopeScheme,
     DataCenterSimulation,
+    NullScheme,
     OnlineDetectScheme,
     SimulationConfig,
+    TokenScheme,
 )
 from repro.analysis.export import records_to_csv
 from repro.cluster import FLAT_TOPOLOGY, ServerPowerModel
@@ -98,3 +104,44 @@ def test_anti_dope_without_suspects_equals_a_quiet_detector(seed, topology, mode
     assert anti_dope.obs.counters.get("network.pdf_suspect_forwarded") == 0
     assert _records_sha256(anti_dope) == _records_sha256(detect)
     assert _shared_counters(anti_dope) == _shared_counters(detect)
+
+
+def _bucket_that_never_runs_dry():
+    return TokenScheme(burst_s=1e9, safety_factor=1.0)
+
+
+@pytest.mark.parametrize("mode", ["scalar", "batched"])
+@pytest.mark.parametrize("topology", [FLAT_TOPOLOGY, "tree-small"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_token_with_a_bucket_that_never_runs_dry_equals_null(seed, topology, mode):
+    token = _run(_bucket_that_never_runs_dry, topology, seed, mode)
+    null = _run(NullScheme, topology, seed, mode)
+    assert token.obs.counters.get("network.nlb_dropped.dropped_token") == 0
+    assert _records_sha256(token) == _records_sha256(null)
+    assert token.obs.counters.as_dict() == null.obs.counters.as_dict()
+
+
+@pytest.mark.parametrize("make_scheme", [NullScheme, _bucket_that_never_runs_dry])
+def test_unmanaged_tree_returns_to_the_ladder_top_after_the_flood(make_scheme):
+    # Per-PDU protection caps levels while the flood is on; once it is
+    # over, every slot lifts them back to the top of the ladder.
+    config = SimulationConfig.for_topology(
+        "tree-small", budget_level=BudgetLevel.LOW, seed=1
+    )
+    sim = DataCenterSimulation(config, scheme=make_scheme())
+    sim.add_normal_traffic(rate_rps=40.0)
+    sim.add_flood(
+        mix=ATTACK_MIX, rate_rps=220.0, num_agents=20, start_s=30.0, end_s=90.0
+    )
+    top = sim.rack.ladder.max_level
+    after = []
+    for t_s in (100.0, 150.0, 199.0):
+        sim.engine.schedule_at(t_s, lambda: after.append(sim.rack.levels()))
+    sim.run(200.0)
+    cap_slots = [
+        value
+        for name, value in sim.obs.counters.as_dict().items()
+        if name.startswith("topology.cap_slots.")
+    ]
+    assert sum(cap_slots) > 0
+    assert after == [[top] * 8] * 3

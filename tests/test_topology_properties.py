@@ -3,7 +3,7 @@
 Three contracts the topology PR rests on:
 
 * **Flowlet conservation** — every request handed to the fabric exits
-  on exactly one path: the chosen backend is one of the offered
+  on exactly one path: the chosen backend is one of the fabric's
   servers and the per-rack ``fabric.forwarded.rackN`` counters sum to
   exactly the number of selects, for any flow/timing pattern.
 * **ECMP hash determinism** — path choice is a pure function of
@@ -20,14 +20,19 @@ Three contracts the topology PR rests on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import PowerTopology, TopologySpec
+from repro.cluster import PowerTopology, Rack, TopologySpec
 from repro.network import FlowletEcmpFabric, ecmp_path
 from repro.obs import Recorder
+from repro.sim.engine import EventEngine
 
 
-class _FakeServer:
-    def __init__(self, server_id: int) -> None:
-        self.server_id = server_id
+def _racks(num_racks, servers_per_rack):
+    """Rack slices of real servers; server *s* lives in rack s // per."""
+    servers = Rack(EventEngine(), num_servers=num_racks * servers_per_rack).servers
+    return [
+        servers[k * servers_per_rack : (k + 1) * servers_per_rack]
+        for k in range(num_racks)
+    ]
 
 
 class _FakeRequest:
@@ -67,19 +72,19 @@ class TestFlowletConservation:
     @given(requests=_requests, gap_on=st.booleans())
     def test_every_request_exits_on_exactly_one_path(self, requests, gap_on):
         obs = Recorder()
+        racks = _racks(4, 4)
         fabric = FlowletEcmpFabric(
-            num_racks=4,
-            servers_per_rack=4,
+            racks,
             flowlet_gap_s=0.05 if gap_on else None,
             salt=7,
             obs=obs,
         )
-        servers = [_FakeServer(i) for i in range(16)]
+        servers = [s for rack in racks for s in rack]
         now_s = 0.0
         for flow_id, gap_s in requests:
             now_s += gap_s
-            chosen = fabric.select(_FakeRequest(flow_id, now_s), servers)
-            assert chosen in servers  # exactly one backend, from the offer
+            chosen = fabric.select(_FakeRequest(flow_id, now_s), ())
+            assert chosen in servers  # exactly one backend, of the fabric's
         counters = obs.counters.as_dict()
         forwarded = sum(
             value
@@ -95,15 +100,12 @@ class TestFlowletConservation:
     @settings(max_examples=50, deadline=None)
     @given(requests=_requests)
     def test_pinned_flows_never_change_rack(self, requests):
-        fabric = FlowletEcmpFabric(
-            num_racks=4, servers_per_rack=4, flowlet_gap_s=None, salt=3
-        )
-        servers = [_FakeServer(i) for i in range(16)]
+        fabric = FlowletEcmpFabric(_racks(4, 4), flowlet_gap_s=None, salt=3)
         rack_of_flow = {}
         now_s = 0.0
         for flow_id, gap_s in requests:
             now_s += gap_s
-            chosen = fabric.select(_FakeRequest(flow_id, now_s), servers)
+            chosen = fabric.select(_FakeRequest(flow_id, now_s), ())
             rack = chosen.server_id // 4
             assert rack_of_flow.setdefault(flow_id, rack) == rack
 
@@ -135,19 +137,11 @@ class TestEcmpDeterminism:
     def test_fresh_fabrics_with_the_same_salt_agree(self, salt):
         # Two fabric instances (e.g. two worker processes) must route
         # identically — no per-instance or per-process hash state.
-        a = FlowletEcmpFabric(
-            num_racks=4, servers_per_rack=2, flowlet_gap_s=None, salt=salt
-        )
-        b = FlowletEcmpFabric(
-            num_racks=4, servers_per_rack=2, flowlet_gap_s=None, salt=salt
-        )
-        servers = [_FakeServer(i) for i in range(8)]
+        a = FlowletEcmpFabric(_racks(4, 2), flowlet_gap_s=None, salt=salt)
+        b = FlowletEcmpFabric(_racks(4, 2), flowlet_gap_s=None, salt=salt)
         for flow_id in range(30):
             request = _FakeRequest(flow_id, 0.0)
-            assert (
-                a.select(request, servers).server_id
-                == b.select(request, servers).server_id
-            )
+            assert a.select(request, ()).server_id == b.select(request, ()).server_id
 
 
 # ----------------------------------------------------------------------
