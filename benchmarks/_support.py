@@ -34,7 +34,7 @@ from repro.workloads import (
     RequestMix,
     RequestType,
     TrafficClass,
-    uniform_mix,
+    dope_mix,
 )
 
 # ----------------------------------------------------------------------
@@ -62,7 +62,7 @@ ATTACK_RATE = 220.0
 NORMAL_RATE = 40.0
 
 #: The DOPE flood's request mix (high-power catalog types).
-ATTACK_MIX: RequestMix = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK_MIX: RequestMix = dope_mix()
 
 #: The Fig 11 region-grid axes.
 REGION_TYPES: Tuple[RequestType, ...] = (

@@ -17,7 +17,7 @@ import numpy as np
 from repro import DataCenterSimulation, NullScheme, SimulationConfig
 from repro.analysis import print_table
 from repro.cluster import AutoScaler
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, uniform_mix
+from repro.workloads import dope_mix
 
 DURATION = 240.0
 ATTACK_START = 60.0
@@ -46,7 +46,7 @@ def run(autoscale: bool):
             server.set_powered(False)
     sim.add_normal_traffic(rate_rps=15)
     sim.add_flood(
-        mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+        mix=dope_mix(),
         rate_rps=250,
         num_agents=20,
         start_s=ATTACK_START,

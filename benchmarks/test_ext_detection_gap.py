@@ -18,9 +18,9 @@ attribution gap, not stealth.
 
 from repro import DataCenterSimulation, OnlineDetectScheme, SimulationConfig
 from repro.analysis import print_table
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, uniform_mix
+from repro.workloads import dope_mix
 
-ATTACK = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK = dope_mix()
 DURATION = 180.0
 ATTACK_START = 90.0
 #: One extractor time constant (``tau_s``) after the onset.

@@ -12,7 +12,7 @@ service availability" under aggressive oversubscription.
 
 from repro import BudgetLevel, CappingScheme, DataCenterSimulation, SimulationConfig
 from repro.analysis import print_table
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from repro.workloads import TrafficClass, dope_mix
 
 from _support import BUDGETS
 
@@ -28,7 +28,7 @@ def availability_at(budget, rate):
     )
     sim.add_normal_traffic(rate_rps=40)
     sim.add_flood(
-        mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+        mix=dope_mix(),
         rate_rps=rate,
         num_agents=20,
         start_s=30,

@@ -21,14 +21,7 @@ from repro import AntiDopeScheme, BudgetLevel, DataCenterSimulation, SimulationC
 from repro.analysis import print_table
 from repro.cluster import ServerPowerModel
 from repro.core import SuspectList
-from repro.workloads import (
-    ALL_TYPES,
-    COLLA_FILT,
-    K_MEANS,
-    WORD_COUNT,
-    TrafficClass,
-    uniform_mix,
-)
+from repro.workloads import ALL_TYPES, TrafficClass, dope_mix
 
 DURATION = 180.0
 
@@ -86,7 +79,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     sim.add_normal_traffic(rate_rps=40)
     sim.add_flood(
-        mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+        mix=dope_mix(),
         rate_rps=300,
         num_agents=20,
         start_s=40,

@@ -15,9 +15,9 @@ import numpy as np
 from repro import DataCenterSimulation, NullScheme, SimulationConfig
 from repro.analysis import print_table
 from repro.cluster import AutoScaler
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, uniform_mix
+from repro.workloads import dope_mix
 
-ATTACK = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK = dope_mix()
 
 
 def autoscaling_demo() -> None:

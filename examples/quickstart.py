@@ -18,7 +18,7 @@ from repro import (
     SimulationConfig,
 )
 from repro.analysis import print_table
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from repro.workloads import TrafficClass, dope_mix
 
 DURATION = 180.0
 ATTACK_START = 45.0
@@ -34,7 +34,7 @@ def run(scheme, label):
     # The DOPE flood: high-power requests, spread over 20 agents so no
     # single source ever crosses the firewall's 150 req/s threshold.
     sim.add_flood(
-        mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+        mix=dope_mix(),
         rate_rps=300,
         num_agents=20,
         start_s=ATTACK_START,

@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.analysis import print_table
 from repro.trace import SyntheticAlibabaTrace, load_machine_usage
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from repro.workloads import TrafficClass, dope_mix
 
 DURATION = 300.0
 ATTACK_START = 60.0
@@ -50,7 +50,7 @@ def run(scheme_factory, trace, budget):
         rate_rps=25, trace=trace, trace_peak_rate_rps=60, num_users=300
     )
     sim.add_flood(
-        mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+        mix=dope_mix(),
         rate_rps=300,
         num_agents=20,
         start_s=ATTACK_START,

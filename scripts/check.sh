@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
-# Repo health gate: domain lint, the runner test modules, a 2-worker
-# smoke sweep and 2-worker chaos smokes on the flat rack and on the
-# tree-small power tree (exercise the process pool, the fault-injection
-# layer and the fabric's crash path end to end), the perfbench tests,
-# then the full tier-1 test suite. Run from the repo root.
+# Repo health gate: domain lint, the runner test modules, a smoke sweep
+# run serially and on 2 workers and compared byte for byte, and 2-worker
+# chaos smokes on the flat rack and on the tree-small power tree
+# (exercise the process pool, the fault-injection layer and the
+# fabric's crash path end to end), the perfbench tests, then the full
+# tier-1 test suite. Run from the repo root.
 #
-#   scripts/check.sh              lint + runner tests + smoke sweep +
+#   scripts/check.sh              lint + runner tests + smoke sweeps +
 #                                 chaos smokes + perfbench tests + suite
 #   scripts/check.sh --lint-only  just the full REP001-REP012 rule set
 #                                 (fast, well under 10 s)
@@ -46,8 +47,12 @@ python -m pytest $PYTEST_ARGS $JUNIT_RUNNER \
     tests/test_runner_cache.py \
     tests/test_model_properties.py
 
-echo "== 2-worker smoke sweep =="
-python -m repro sweep --types colla-filt --rates 60 --window 10 --workers 2
+echo "== smoke sweep: 1 worker and 2 workers, byte for byte =="
+SWEEP_DIR="$(mktemp -d)"
+python -m repro sweep --types colla-filt --rates 60 150 --window 10 --workers 1 > "$SWEEP_DIR/w1.txt"
+python -m repro sweep --types colla-filt --rates 60 150 --window 10 --workers 2 > "$SWEEP_DIR/w2.txt"
+cmp "$SWEEP_DIR/w1.txt" "$SWEEP_DIR/w2.txt"
+rm -rf "$SWEEP_DIR"
 
 echo "== 2-worker chaos smoke =="
 python -m repro chaos --smoke --workers 2 --out CHAOS_smoke.json

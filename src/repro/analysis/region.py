@@ -24,7 +24,7 @@ from .._validation import check_int, check_positive, require
 from ..detect import make_scheme, validate_scheme_names
 from ..obs import Recorder
 from ..power.budget import BudgetLevel
-from ..runner import CellSpec, ResultCache, canonical_json, run_cells
+from ..runner import ResultCache, canonical_json, run_cells
 from ..sim.config import SimulationConfig
 from ..sim.engine import engine_from_env, resolve_engine_selection
 from ..sim.simulation import DataCenterSimulation
@@ -232,31 +232,21 @@ class DopeRegionAnalyzer:
         require(len(types) > 0, "need at least one type")
         require(len(rates_rps) > 0, "need at least one rate")
         probe = _RegionProbe(self, types)
-        specs = [
-            CellSpec(
-                index=index,
-                params={"type_name": rtype.name, "rate_rps": float(rate)},
-                seed=self.config.seed,
-            )
-            for index, (rtype, rate) in enumerate(
-                (t, r) for t in types for r in rates_rps
-            )
-        ]
-        outcomes = run_cells(
+        values = run_cells(
             probe,
-            specs,
+            [
+                {"type_name": rtype.name, "rate_rps": float(rate)}
+                for rtype in types
+                for rate in rates_rps
+            ],
             workers=workers,
             cache=cache,
             experiment_id=self.experiment_id(),
             recorder=recorder,
         )
-        cells = []
-        for outcome in outcomes:
-            if outcome.error is not None:
-                raise outcome.error
-            assert outcome.value is not None
-            cells.append(RegionCell(**outcome.value))  # type: ignore[arg-type]
-        return RegionResult(cells)
+        return RegionResult(
+            [RegionCell(**value) for value in values]  # type: ignore[arg-type]
+        )
 
     def experiment_id(self) -> str:
         """Cache identity: the probe routine plus every analyzer knob.

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._validation import check_fraction, require
 from ..obs import Recorder
-from ..runner import CellSpec, ResultCache, default_experiment_id, run_cells
+from ..runner import ResultCache, default_experiment_id, run_cells
 
 __all__ = [
     "MetricSummary",
@@ -103,7 +103,7 @@ def _summarise(
 
 
 def _collect_metrics(
-    cell_values: Sequence[Tuple[int, Mapping[str, object]]],
+    cell_values: Iterable[Tuple[int, Mapping[str, object]]],
 ) -> Dict[str, List[float]]:
     """Seed-ordered metric columns, enforcing consistent keys per cell."""
     results: Dict[str, List[float]] = {}
@@ -143,24 +143,12 @@ def replicate(
     z = _z_for(confidence)
     if cache is not None and experiment_id is None:
         experiment_id = default_experiment_id(experiment)
-    specs = [
-        CellSpec(index=i, params={"seed": int(seed)}, seed=int(seed))
-        for i, seed in enumerate(seeds)
-    ]
-    outcomes = run_cells(
+    values = run_cells(
         _SeedCall(experiment),
-        specs,
+        [{"seed": int(seed)} for seed in seeds],
         workers=workers,
         cache=cache,
         experiment_id=experiment_id,
         recorder=recorder,
     )
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-    values = [
-        (spec.seed, outcome.value)
-        for spec, outcome in zip(specs, outcomes)
-        if outcome.value is not None
-    ]
-    return _summarise(_collect_metrics(values), len(seeds), z)
+    return _summarise(_collect_metrics(zip(seeds, values)), len(seeds), z)

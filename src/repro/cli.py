@@ -46,16 +46,7 @@ from .faults import run_chaos
 from .power import BudgetLevel
 from .runner import ResultCache
 from .sim import DataCenterSimulation, SimulationConfig
-from .workloads import (
-    ALL_TYPES,
-    COLLA_FILT,
-    K_MEANS,
-    WORD_COUNT,
-    RequestType,
-    TrafficClass,
-    get_type,
-    uniform_mix,
-)
+from .workloads import ALL_TYPES, RequestType, TrafficClass, dope_mix, get_type
 
 __all__ = [
     "build_parser",
@@ -392,7 +383,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         sim = DataCenterSimulation(config, scheme=make_scheme(name, config))
         sim.add_normal_traffic(rate_rps=40)
         sim.add_flood(
-            mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+            mix=dope_mix(),
             rate_rps=args.attack_rate,
             num_agents=20,
             start_s=30.0,

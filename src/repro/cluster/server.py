@@ -146,6 +146,10 @@ class Server:
         self.queue_timeout_s = queue_timeout_s
 
         self.level = self.ladder.max_level
+        #: Highest level :meth:`set_level` applies, whatever it is asked
+        #: for.  A thermal emergency lowers it to 0 until it is released
+        #: (:class:`~repro.cluster.thermal.ThermalMonitor`).
+        self.level_ceiling = self.ladder.max_level
         self.powered_on = True
         self.failed = False
         #: Written only by :meth:`_set_healthy`, which refreshes
@@ -369,9 +373,10 @@ class Server:
         Remaining work of every in-service request is drained at the old
         speed up to "now", then its departure is rescheduled at the new
         speed — the exact semantics of a V/F transition under a
-        work-conserving processor.
+        work-conserving processor.  *level* is clamped to the ladder,
+        then to :attr:`level_ceiling`.
         """
-        level = self.ladder.clamp(level)
+        level = min(self.ladder.clamp(level), self.level_ceiling)
         if level == self.level:
             return
         self._counters.inc("cluster.dvfs_transitions")

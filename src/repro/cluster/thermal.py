@@ -11,10 +11,10 @@ supplies the cooling half:
   state ``T_ss = T_inlet + P·R_th``, so sustained high power walks the
   die toward its trip point.
 * :class:`ThermalMonitor` — samples every server on an interval,
-  advances the RC states, fires **emergency thermal throttling** (force
+  advances the RC states, fires **emergency thermal throttling** (hold
   the deepest P-state) above ``T_trip`` and releases it below
   ``T_resume`` — the protection layer that exists below every software
-  power manager.
+  power manager: the emergency is a level ceiling no scheme can raise.
 * :func:`cooling_power_w` — CRAC/chiller power for a given IT load via
   a COP model, so facility-level energy can include the cooling tax a
   DOPE attack inflicts even when the power budget holds.
@@ -126,8 +126,10 @@ class ThermalMonitor:
     engine, rack:
         Simulation wiring.
     t_trip_c:
-        Die temperature that triggers emergency throttling (force the
-        bottom of the DVFS ladder).
+        Die temperature that triggers emergency throttling: the server's
+        :attr:`~repro.cluster.server.Server.level_ceiling` drops to the
+        bottom of the DVFS ladder, so no scheme can raise it until the
+        emergency is released.
     t_resume_c:
         Temperature below which the emergency is released (hysteresis
         band below the trip point).
@@ -192,11 +194,13 @@ class ThermalMonitor:
             in_emergency = server.server_id in self._emergency
             if not in_emergency and temp >= self.t_trip:
                 self._emergency[server.server_id] = server.level
+                server.level_ceiling = 0
                 server.set_level(0)
                 self.stats.emergencies += 1
                 self.stats.emergency_server_ids.append(server.server_id)
                 in_emergency = True
             elif in_emergency and temp <= self.t_resume:
+                server.level_ceiling = server.ladder.max_level
                 server.set_level(self._emergency.pop(server.server_id))
                 in_emergency = False
             throttled.append(in_emergency)

@@ -33,9 +33,9 @@ from ..detect import make_scheme, validate_scheme_names
 from ..metrics.latency import LatencyStats
 from ..obs import Recorder, config_hash, jsonable
 from ..power import BudgetLevel
-from ..runner import CellSpec, ResultCache, run_cells
+from ..runner import ResultCache, run_cells
 from ..sim import DataCenterSimulation, SimulationConfig
-from ..workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from ..workloads import TrafficClass, dope_mix
 from .injector import FaultInjector
 from .plan import FaultPlan
 
@@ -151,7 +151,7 @@ def chaos_cell(
     injector.arm()
     sim.add_normal_traffic(rate_rps=normal_rate_rps)
     sim.add_flood(
-        mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+        mix=dope_mix(),
         rate_rps=attack_rate_rps,
         num_agents=20,
         start_s=_ATTACK_START_S,
@@ -261,38 +261,26 @@ def run_chaos(
     if recorder is None:
         recorder = Recorder()
 
-    specs: List[CellSpec] = []
-    for profile in profiles:
-        for scheme in selected:
-            specs.append(
-                CellSpec(
-                    index=len(specs),
-                    params={
-                        "scheme": scheme,
-                        "seed": seed,
-                        "budget": budget.upper(),
-                        "num_servers": num_servers,
-                        "duration_s": duration_s,
-                        "profile": profile,
-                        "topology": topology,
-                    },
-                    seed=seed,
-                )
-            )
-    outcomes = run_cells(
+    cells = run_cells(
         chaos_cell,
-        specs,
+        [
+            {
+                "scheme": scheme,
+                "seed": seed,
+                "budget": budget.upper(),
+                "num_servers": num_servers,
+                "duration_s": duration_s,
+                "profile": profile,
+                "topology": topology,
+            }
+            for profile in profiles
+            for scheme in selected
+        ],
         workers=workers,
         cache=cache,
         experiment_id="repro.faults.chaos_cell",
         recorder=recorder,
     )
-    cells: List[Dict[str, object]] = []
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-        assert outcome.value is not None
-        cells.append(outcome.value)
 
     scenario = {
         "mode": mode,

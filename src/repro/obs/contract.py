@@ -96,8 +96,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "runner.cells_executed",
         "runner.cache_hits",
         "runner.cache_misses",
-        "runner.cell_retries",
-        "runner.cell_errors",
     }
 )
 

@@ -1,8 +1,9 @@
 """Content-addressed cache keys for experiment cells.
 
 A cell's key is the SHA-256 of a canonical JSON document naming the
-experiment, its parameters, the seed and the repro version.  Canonical
-means: keys sorted, compact separators, enums reduced to their values,
+experiment, its parameters and the repro version; a cell's seed is one
+of its parameters or part of its experiment id.  Canonical means: keys
+sorted, compact separators, enums reduced to their values,
 tuples to lists — so the same logical cell always serialises to the
 same bytes regardless of dict insertion order or container flavour.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .._version import __version__
 
@@ -60,19 +61,11 @@ def canonical_json(value: object) -> str:
 
 
 def cell_key(
-    experiment_id: str,
-    params: Mapping[str, object],
-    seed: Optional[int],
-    version: str = __version__,
+    experiment_id: str, params: Mapping[str, object], version: str = __version__
 ) -> str:
-    """SHA-256 key of one (experiment, params, seed, version) cell."""
+    """SHA-256 key of one (experiment, params, version) cell."""
     document = canonical_json(
-        {
-            "experiment": experiment_id,
-            "params": dict(params),
-            "seed": seed,
-            "version": version,
-        }
+        {"experiment": experiment_id, "params": dict(params), "version": version}
     )
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 

@@ -18,6 +18,7 @@ from .catalog import (
     RequestType,
     TrafficClass,
     alios_mix,
+    dope_mix,
     get_type,
     get_type_by_url,
     uniform_mix,
@@ -71,6 +72,7 @@ __all__ = [
     "get_type",
     "get_type_by_url",
     "alios_mix",
+    "dope_mix",
     "uniform_mix",
     "TrafficGenerator",
     "make_normal_traffic",

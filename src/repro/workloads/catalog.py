@@ -58,6 +58,7 @@ __all__ = [
     "get_type_by_url",
     "RequestMix",
     "alios_mix",
+    "dope_mix",
     "uniform_mix",
 ]
 
@@ -320,6 +321,16 @@ def alios_mix() -> RequestMix:
             K_MEANS: 0.04,
         }
     )
+
+
+def dope_mix() -> RequestMix:
+    """The DOPE attack mix: equal weight over the three heavy types.
+
+    Colla-Filt, K-Means and Word-Count are the endpoints whose requests
+    draw the most power per request, so a low-rate flood of them
+    violates the power budget without looking like a volume attack.
+    """
+    return uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
 
 
 def uniform_mix(types: Iterable[RequestType]) -> RequestMix:

@@ -36,7 +36,7 @@ from ..network.firewall import RateLimitFirewall
 from ..network.sources import SourceRegistry
 from ..sim.engine import EventEngine
 from ..sim.events import PRIORITY_CONTROL
-from .catalog import RequestMix, TrafficClass, uniform_mix
+from .catalog import RequestMix, TrafficClass, dope_mix, uniform_mix
 from .generator import ClosedLoopGenerator, Dispatch, clients_for_rate
 
 __all__ = [
@@ -206,7 +206,7 @@ class DopeAttacker:
         shaping_rate_rps: float = 20.0,
         shaping_mix: Optional[RequestMix] = None,
     ) -> None:
-        from .catalog import ALL_TYPES, COLLA_FILT, K_MEANS, TEXT_CONT, WORD_COUNT
+        from .catalog import ALL_TYPES, TEXT_CONT
 
         check_positive("initial_rate_rps", initial_rate_rps)
         check_positive("rate_step_rps", rate_step_rps)
@@ -255,7 +255,7 @@ class DopeAttacker:
 
         pool = registry.allocate(label, TrafficClass.ATTACK, num_agents)
         self.pool = pool
-        mix = target_mix or uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+        mix = target_mix or dope_mix()
         self.target_mix = mix
         self.dilution_mix = dilution_mix or uniform_mix(ALL_TYPES)
         self.mode = mode

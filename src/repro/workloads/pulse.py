@@ -27,7 +27,7 @@ from .._validation import check_fraction, check_int, check_positive
 from ..network.sources import SourceRegistry
 from ..sim.engine import EventEngine
 from ..sim.events import PRIORITY_CONTROL
-from .catalog import RequestMix, TrafficClass, uniform_mix
+from .catalog import RequestMix, TrafficClass, dope_mix
 from .generator import ClosedLoopGenerator, Dispatch, clients_for_rate
 
 __all__ = [
@@ -75,8 +75,6 @@ class PulseAttacker:
         think_s: float = 0.2,
         label: str = "pulse-dope",
     ) -> None:
-        from .catalog import COLLA_FILT, K_MEANS, WORD_COUNT
-
         check_positive("rate_rps", rate_rps)
         check_positive("period_s", period_s)
         check_fraction("duty", duty, inclusive=False)
@@ -87,7 +85,7 @@ class PulseAttacker:
         self.rate_rps = float(rate_rps)
         self.stats = PulseStats()
         pool = registry.allocate(label, TrafficClass.ATTACK, num_agents)
-        mix = target_mix or uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+        mix = target_mix or dope_mix()
         self._clients = clients_for_rate(rate_rps, mix, think_s)
         self.generator = ClosedLoopGenerator(
             engine=engine,

@@ -36,14 +36,7 @@ from repro.analysis.export import collector_summary, records_to_csv
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.contract import EXECUTION_COUNTER_NAMES
 from repro.power import BudgetLevel
-from repro.workloads import (
-    COLLA_FILT,
-    K_MEANS,
-    TEXT_CONT,
-    VOLUME_DOS,
-    WORD_COUNT,
-    uniform_mix,
-)
+from repro.workloads import TEXT_CONT, VOLUME_DOS, WORD_COUNT, dope_mix, uniform_mix
 
 DURATION_S = 20.0
 
@@ -56,7 +49,7 @@ SCHEMES = {
 
 SEEDS = (1, 2, 3)
 
-ATTACK_MIX = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK_MIX = dope_mix()
 
 FLASH_MIX = uniform_mix((TEXT_CONT, WORD_COUNT))
 

@@ -6,7 +6,7 @@ from repro import BudgetLevel, DataCenterSimulation, SimulationConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.network import Request
 from repro.power import CappingScheme, PowerBudget
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from repro.workloads import COLLA_FILT, K_MEANS, TrafficClass, dope_mix
 
 
 def load_rack(rack, rtype=COLLA_FILT, per_server=8):
@@ -97,7 +97,7 @@ class TestCrashRule:
         )
         sim.add_normal_traffic(rate_rps=40)
         sim.add_flood(
-            mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+            mix=dope_mix(),
             rate_rps=220,
             num_agents=20,
             start_s=20,

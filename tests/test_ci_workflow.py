@@ -205,3 +205,13 @@ def test_check_script_runs_the_flat_and_the_tree_chaos_smoke():
     script = (Path(__file__).parent.parent / "scripts" / "check.sh").read_text()
     assert "python -m repro chaos --smoke --workers 2" in script
     assert "python -m repro chaos --smoke --topology tree-small --workers 2" in script
+
+
+def test_check_script_compares_the_serial_and_the_two_worker_sweep():
+    # The gate checks workers 1 == N byte for byte through the runner's
+    # process pool, not just that a pooled sweep exits 0.
+    script = (Path(__file__).parent.parent / "scripts" / "check.sh").read_text()
+    sweep = "python -m repro sweep --types colla-filt --rates 60 150 --window 10"
+    assert f'{sweep} --workers 1 > "$SWEEP_DIR/w1.txt"' in script
+    assert f'{sweep} --workers 2 > "$SWEEP_DIR/w2.txt"' in script
+    assert 'cmp "$SWEEP_DIR/w1.txt" "$SWEEP_DIR/w2.txt"' in script

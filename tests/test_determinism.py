@@ -76,9 +76,9 @@ def test_region_sweep_parallel_cells_byte_identical_to_serial():
     """DopeRegionAnalyzer.sweep: merged parallel output == serial output.
 
     The runner's observation counters must obey the same equivalence:
-    cells/executed/retries/errors tallies are deterministic output, so
-    fanning out over 4 processes may not change a single count (wall
-    timings, by design, may and do differ).
+    the cells total/executed and cache hit/miss tallies are deterministic
+    output, so fanning out over 4 processes may not change a single
+    count (wall timings, by design, may and do differ).
     """
     analyzer = DopeRegionAnalyzer(
         config=SimulationConfig(budget_level=BudgetLevel.MEDIUM, seed=REGION_SEED),

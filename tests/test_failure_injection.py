@@ -15,9 +15,9 @@ from repro import (
     ShavingScheme,
     SimulationConfig,
 )
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from repro.workloads import COLLA_FILT, TrafficClass, dope_mix
 
-ATTACK = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK = dope_mix()
 
 
 class TestDeadBattery:

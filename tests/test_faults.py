@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import DataCenterSimulation, SimulationConfig
+from repro import DataCenterSimulation, ShavingScheme, SimulationConfig
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -25,6 +25,7 @@ from repro.network import (
 from repro.power import Battery, BudgetLevel, PowerBudget
 from repro.power.manager import NullScheme
 from repro.power.sensor import FaultyPowerSensor
+from repro.sim.events import PRIORITY_MONITOR
 from repro.workloads import COLLA_FILT, TEXT_CONT, TrafficClass, uniform_mix
 
 
@@ -368,6 +369,46 @@ class TestFaultInjector:
         sim.run(12.0)
         assert probes == [0, 4]
         assert injector.injected == {"pdu_trip": 1}
+
+    def test_meter_stale_freezes_then_forces_worst_case(self):
+        # A stale window of 3x the staleness bound: the scheme sees the
+        # frozen reading inside the bound and assumes nameplate draw past
+        # it.  Shaving reads the meter every slot; Capping decides from
+        # predicted power alone and never reads it.
+        bound_s, stale_at_s = 5.0, 10.0
+
+        def shaving_run(plan):
+            sim = DataCenterSimulation(
+                SimulationConfig(budget_level=BudgetLevel.LOW, seed=3),
+                scheme=ShavingScheme(),
+            )
+            FaultInjector(sim, plan, staleness_bound_s=bound_s).arm()
+            sim.add_normal_traffic(rate_rps=60.0)
+            return sim
+
+        sim = shaving_run(
+            FaultPlan(seed=3).meter_stale(stale_at_s, duration_s=3 * bound_s)
+        )
+        seen = {}
+
+        def freeze():  # right after the fault lands: the truth it freezes
+            seen["frozen"] = sim.rack.total_power()
+
+        def inside_the_bound():
+            seen["inside"] = sim.scheme.current_power()
+            seen["truth"] = sim.rack.total_power()
+
+        sim.engine.schedule_at(stale_at_s, freeze, priority=PRIORITY_MONITOR + 1)
+        sim.engine.schedule_at(stale_at_s + bound_s / 2, inside_the_bound)
+        sim.run(stale_at_s + 4 * bound_s)
+        counters = sim.obs.counters
+        assert counters.get("faults.injected.meter_stale") == 1
+        assert seen["inside"] == seen["frozen"] != seen["truth"]
+        assert counters.get("power.sensor_worst_case_fallbacks") > 0
+
+        clean = shaving_run(FaultPlan(seed=3))
+        clean.run(stale_at_s + 4 * bound_s)
+        assert clean.obs.counters.get("power.sensor_worst_case_fallbacks") == 0
 
     def test_arm_twice_rejected(self):
         sim, injector = faulted_sim()

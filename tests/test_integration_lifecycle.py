@@ -24,10 +24,10 @@ from repro.workloads import (
     K_MEANS,
     WORD_COUNT,
     TrafficClass,
-    uniform_mix,
+    dope_mix,
 )
 
-ATTACK = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK = dope_mix()
 
 
 def _metered_server_power_w(rtype):

@@ -18,13 +18,7 @@ from repro import (
     SimulationConfig,
     TokenScheme,
 )
-from repro.workloads import (
-    COLLA_FILT,
-    K_MEANS,
-    WORD_COUNT,
-    TrafficClass,
-    uniform_mix,
-)
+from repro.workloads import TrafficClass, dope_mix
 
 ATTACK_START = 30.0
 DURATION = 240.0
@@ -39,7 +33,7 @@ def run_scenario(scheme_factory, budget, attack=True, seed=7):
     sim.add_normal_traffic(rate_rps=40)
     if attack:
         sim.add_flood(
-            mix=uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT)),
+            mix=dope_mix(),
             rate_rps=ATTACK_RATE,
             num_agents=20,
             start_s=ATTACK_START,

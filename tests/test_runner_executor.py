@@ -1,18 +1,20 @@
-"""Crash-injection and ordering tests for :mod:`repro.runner.executor`.
+"""Ordering and fail-fast tests for :mod:`repro.runner.executor`.
 
-The runner's promise is that a sweep is never killed by one bad cell:
-an experiment that raises — or a worker process that dies hard — yields
-a structured :class:`CellError` outcome, the pool survives, and every
-other cell completes with its value in canonical order.
+The runner's promise is that values come back in cell order for any
+worker count, and that the first failing cell — an experiment that
+raises, or a worker process that dies hard — raises a structured
+:class:`CellError` naming the cell, with the experiment's exception as
+its cause, instead of running the rest of the sweep first.
 """
 
 import gc
 import os
 import weakref
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
-from repro.runner import CellError, CellOutcome, CellSpec, run_cells
+from repro.runner import CellError, run_cells
 
 WORKERS = 3
 
@@ -33,6 +35,12 @@ def exit_on_two(x, seed):
     return {"value": float(x)}
 
 
+def mark_then_raise_on_two(x, seed, marker_dir):
+    with open(os.path.join(marker_dir, f"ran-{x}"), "w", encoding="utf-8"):
+        pass
+    return raise_on_two(x, seed)
+
+
 def fail_once_marker(x, seed, marker_dir):
     marker = os.path.join(marker_dir, f"attempt-{x}")
     if not os.path.exists(marker):
@@ -42,51 +50,49 @@ def fail_once_marker(x, seed, marker_dir):
     return {"value": float(x)}
 
 
-def specs_for(values, extra=None):
-    extra = extra or {}
-    return [
-        CellSpec(index=i, params={"x": x, "seed": 0, **extra}, seed=0)
-        for i, x in enumerate(values)
-    ]
+def cells_for(values, extra=None):
+    return [{"x": x, "seed": 0, **(extra or {})} for x in values]
+
+
+def assert_names_cell_two(err, index):
+    assert isinstance(err, CellError)
+    assert err.index == index
+    assert err.params == {"x": 2, "seed": 0}
+    assert f"cell {index} " in str(err)
+    assert "'x': 2" in str(err)
+    assert "ValueError: injected failure at x=2" in str(err)
+    assert isinstance(err.__cause__, ValueError)
+    assert "injected failure" in str(err.__cause__)
 
 
 class TestSerialExecution:
     def test_values_in_spec_order(self):
-        outcomes = run_cells(square, specs_for([3, 1, 2]))
-        assert [o.value["value"] for o in outcomes] == [9.0, 1.0, 4.0]
-        assert all(isinstance(o, CellOutcome) and o.ok for o in outcomes)
+        values = run_cells(square, cells_for([3, 1, 2]))
+        assert values == [{"value": 9.0}, {"value": 1.0}, {"value": 4.0}]
 
     def test_raising_cell_becomes_cell_error(self):
-        outcomes = run_cells(raise_on_two, specs_for([1, 2, 3]))
-        assert outcomes[0].ok and outcomes[2].ok
-        err = outcomes[1].error
-        assert isinstance(err, CellError)
-        assert err.kind == "exception"
-        assert err.exc_type == "ValueError"
-        assert "injected failure" in err.message
-        assert err.params["x"] == 2
+        with pytest.raises(CellError) as info:
+            run_cells(raise_on_two, cells_for([1, 2, 3]))
+        assert_names_cell_two(info.value, index=1)
 
-    def test_deterministic_failure_is_retried_once(self):
-        outcomes = run_cells(raise_on_two, specs_for([2]), retries=1)
-        assert outcomes[0].error.attempts == 2
-
-    def test_flaky_cell_succeeds_on_retry(self, tmp_path):
-        outcomes = run_cells(
-            fail_once_marker,
-            specs_for([5], extra={"marker_dir": str(tmp_path)}),
-            retries=1,
-        )
-        assert outcomes[0].ok
-        assert outcomes[0].attempts == 2
+    def test_cells_after_the_failing_cell_never_run(self, tmp_path):
+        with pytest.raises(CellError):
+            run_cells(
+                mark_then_raise_on_two,
+                cells_for([1, 2, 3], extra={"marker_dir": str(tmp_path)}),
+            )
+        assert sorted(os.listdir(tmp_path)) == ["ran-1", "ran-2"]
 
     def test_zero_retries_fails_immediately(self, tmp_path):
-        outcomes = run_cells(
-            fail_once_marker,
-            specs_for([5], extra={"marker_dir": str(tmp_path)}),
-            retries=0,
-        )
-        assert not outcomes[0].ok
-        assert outcomes[0].error.attempts == 1
+        # A cell that would pass on a second attempt still fails: the
+        # runner never retries.
+        with pytest.raises(CellError) as info:
+            run_cells(
+                fail_once_marker,
+                cells_for([5], extra={"marker_dir": str(tmp_path)}),
+            )
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert os.listdir(tmp_path) == ["attempt-5"]
 
     def test_young_cell_garbage_is_freed_before_the_next_cell(self):
         # A cell that returns leaves its objects behind as cyclic garbage
@@ -107,67 +113,48 @@ class TestSerialExecution:
             return {"previous_alive": previous_alive}
 
         gc.collect()
-        outcomes = run_cells(leave_a_cycle, specs_for([1, 2, 3]))
-        assert [o.value["previous_alive"] for o in outcomes] == [False] * 3
+        values = run_cells(leave_a_cycle, cells_for([1, 2, 3]))
+        assert [v["previous_alive"] for v in values] == [False] * 3
         assert refs[-1]() is None
 
 
 class TestParallelExecution:
     def test_values_in_spec_order(self):
-        outcomes = run_cells(square, specs_for([4, 2, 7, 1]), workers=WORKERS)
-        assert [o.value["value"] for o in outcomes] == [16.0, 4.0, 49.0, 1.0]
+        values = run_cells(square, cells_for([4, 2, 7, 1]), workers=WORKERS)
+        assert values == [
+            {"value": 16.0},
+            {"value": 4.0},
+            {"value": 49.0},
+            {"value": 1.0},
+        ]
 
-    def test_raising_cell_survives_pool(self):
-        outcomes = run_cells(
-            raise_on_two, specs_for([0, 1, 2, 3, 4]), workers=WORKERS
-        )
-        values = {o.spec.params["x"]: o for o in outcomes}
-        err = values[2].error
-        assert isinstance(err, CellError)
-        assert err.kind == "exception"
-        assert err.attempts == 2  # retried once, then surfaced
-        assert "injected failure" in err.traceback_text
-        for x in (0, 1, 3, 4):
-            assert values[x].ok and values[x].value["value"] == float(x)
+    def test_raising_cell_raises_cell_error(self):
+        with pytest.raises(CellError) as info:
+            run_cells(raise_on_two, cells_for([0, 1, 2, 3, 4]), workers=WORKERS)
+        assert_names_cell_two(info.value, index=2)
 
-    def test_flaky_cell_retried_in_pool(self, tmp_path):
-        outcomes = run_cells(
-            fail_once_marker,
-            specs_for([1, 2, 3], extra={"marker_dir": str(tmp_path)}),
-            workers=WORKERS,
-        )
-        assert all(o.ok for o in outcomes)
-        assert all(o.attempts == 2 for o in outcomes)
-
-    def test_hard_exit_yields_crash_error_and_pool_survives(self):
-        outcomes = run_cells(
-            exit_on_two, specs_for([0, 1, 2, 3, 4]), workers=WORKERS
-        )
-        values = {o.spec.params["x"]: o for o in outcomes}
-        err = values[2].error
-        assert isinstance(err, CellError)
-        assert err.kind == "crash"
-        assert err.exc_type == "WorkerCrash"
-        assert err.attempts == 2  # one attributed crash + one retry
-        # Every innocent cell still completed despite the broken pool.
-        for x in (0, 1, 3, 4):
-            assert values[x].ok and values[x].value["value"] == float(x)
+    def test_hard_exit_raises_cell_error(self):
+        # Every in-flight cell dies with the pool, so the error names the
+        # first unfinished cell in cell order: the crashing cell or one
+        # running beside it.
+        with pytest.raises(CellError) as info:
+            run_cells(exit_on_two, cells_for([0, 1, 2, 3, 4]), workers=WORKERS)
+        err = info.value
+        assert err.index in (0, 1, 2)
+        assert "worker pool broke" in str(err)
+        assert isinstance(err.__cause__, BrokenExecutor)
 
     def test_cell_error_message_names_the_cell(self):
-        outcomes = run_cells(raise_on_two, specs_for([2]), workers=2)
-        message = str(outcomes[0].error)
-        assert "cell 0" in message
-        assert "ValueError" in message
+        with pytest.raises(CellError) as info:
+            run_cells(raise_on_two, cells_for([2]), workers=2)
+        assert_names_cell_two(info.value, index=0)
 
 
 class TestValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_cells(square, specs_for([1]), workers=0)
-
-    def test_retries_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            run_cells(square, specs_for([1]), retries=-1)
+            run_cells(square, cells_for([1]), workers=0)
 
     def test_empty_specs_is_empty_result(self):
         assert run_cells(square, []) == []
+        assert run_cells(square, [], workers=WORKERS) == []

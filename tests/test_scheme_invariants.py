@@ -22,9 +22,9 @@ from repro import (
 )
 from repro.core.oracle import OracleScheme
 from repro.power import LocalCappingScheme
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, TrafficClass, uniform_mix
+from repro.workloads import TrafficClass, dope_mix
 
-ATTACK = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK = dope_mix()
 
 MANAGED_SCHEMES = [
     CappingScheme,

@@ -39,9 +39,9 @@ from repro.analysis.export import records_to_csv
 from repro.cluster import FLAT_TOPOLOGY, ServerPowerModel
 from repro.core import SuspectList
 from repro.power import BudgetLevel
-from repro.workloads import ALL_TYPES, COLLA_FILT, K_MEANS, WORD_COUNT, uniform_mix
+from repro.workloads import ALL_TYPES, dope_mix
 
-ATTACK_MIX = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK_MIX = dope_mix()
 
 #: Counter families only one side of the pair emits.
 ONE_SIDED_PREFIXES = ("network.pdf_", "detect.")

@@ -19,17 +19,20 @@ import pytest
 
 from repro.devtools import (
     ALLOWED_IMPORTS,
+    ProjectInfo,
     build_rules,
     lint_paths,
     lint_source,
+    load_module,
     node_for,
     registered_rules,
     render_json,
     render_text,
     validate_layering,
 )
-from repro.devtools.engine import infer_module_name
+from repro.devtools.engine import infer_module_name, iter_python_files
 from repro.devtools.lint import main as lint_main
+from repro.devtools.reachability import _CallGraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -77,6 +80,17 @@ def lint_fixture(name: str, rule_id: str, module: str) -> tuple:
 def test_src_repro_lints_clean():
     findings = lint_paths([str(SRC_REPRO)])
     assert findings == [], "\n" + render_text(findings)
+
+
+def test_rep010_finds_the_package_cell_callables():
+    # REP010 checks only code reachable from the cell callables it can
+    # resolve: a bare function name or a local bound to an instance.  A
+    # run_cells call that builds its experiment inline hides the cell
+    # from the rule while the gate above still reads 0 findings.
+    modules = [load_module(path) for path in iter_python_files([str(SRC_REPRO)])]
+    entries = _CallGraph(ProjectInfo(modules=modules)).entry_points()
+    assert ("repro.faults.chaos", "chaos_cell") in entries
+    assert ("repro.analysis.region", "_RegionProbe.__call__") in entries
 
 
 def test_all_twelve_rules_registered():

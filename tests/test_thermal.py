@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import CappingScheme, DataCenterSimulation, NullScheme, SimulationConfig
 from repro.cluster import Rack
 from repro.cluster.thermal import (
     ServerThermalModel,
@@ -12,7 +13,8 @@ from repro.cluster.thermal import (
     cooling_power_w,
 )
 from repro.network import Request
-from repro.workloads import COLLA_FILT, TrafficClass
+from repro.sim.events import PRIORITY_CONTROL
+from repro.workloads import COLLA_FILT, TrafficClass, dope_mix
 
 
 class TestRCModel:
@@ -116,6 +118,10 @@ class TestThermalMonitor:
         monitor.step()
         assert server.level == 0
         assert monitor.in_emergency(server)
+        # The emergency is a ceiling: a scheme's control slot cannot lift it.
+        server.set_level(server.ladder.max_level)
+        server.step_up()
+        assert server.level == 0
 
     def test_emergency_released_with_hysteresis(self, engine, monitored):
         rack, monitor = monitored
@@ -133,6 +139,38 @@ class TestThermalMonitor:
         monitor.step()
         assert not monitor.in_emergency(server)
         assert server.level == server.ladder.max_level
+
+    @pytest.mark.parametrize("scheme", [NullScheme, CappingScheme])
+    def test_control_slot_cannot_lift_an_emergency(self, scheme):
+        # Both schemes set every server's level in each control slot,
+        # which runs after the monitor at the same instant.  A server in
+        # emergency must still be at level 0 once that slot has run.
+        sim = DataCenterSimulation(
+            SimulationConfig(seed=6, use_firewall=False), scheme=scheme()
+        )
+        monitor = ThermalMonitor(
+            sim.engine,
+            sim.rack,
+            t_trip_c=50.0,
+            t_resume_c=45.0,
+            model_factory=lambda: ServerThermalModel(
+                r_th_c_per_w=0.45, tau_s=20.0, t_inlet_c=25.0
+            ),
+        )
+        monitor.start()
+        sim.add_normal_traffic(rate_rps=30)
+        sim.add_flood(mix=dope_mix(), rate_rps=300, num_agents=20, start_s=10)
+        levels_in_emergency = []
+
+        def after_control():
+            levels_in_emergency.extend(
+                s.level for s in sim.rack.servers if monitor.in_emergency(s)
+            )
+
+        sim.engine.every(1.0, after_control, priority=PRIORITY_CONTROL + 1)
+        sim.run(90.0)
+        assert monitor.stats.emergencies >= 1
+        assert levels_in_emergency and set(levels_in_emergency) == {0}
 
     def test_samples_recorded(self, engine, monitored):
         rack, monitor = monitored

@@ -40,9 +40,9 @@ from repro.analysis.export import records_to_csv, topology_summary
 from repro.cluster import FLAT_TOPOLOGY, topology_names
 from repro.obs import config_hash
 from repro.power import BudgetLevel
-from repro.workloads import COLLA_FILT, K_MEANS, WORD_COUNT, uniform_mix
+from repro.workloads import COLLA_FILT, K_MEANS, dope_mix, uniform_mix
 
-ATTACK_MIX = uniform_mix((COLLA_FILT, K_MEANS, WORD_COUNT))
+ATTACK_MIX = dope_mix()
 
 SCHEMES = {
     "capping": CappingScheme,
