@@ -9,7 +9,7 @@ messages uniform.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def require(condition: bool, message: str) -> None:
@@ -70,15 +70,4 @@ def check_probability_vector(name: str, values: Sequence[float]) -> list:
     total = sum(vals)
     if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-9):
         raise ValueError(f"{name} must sum to 1, got sum={total!r}")
-    return vals
-
-
-def check_sorted_unique(name: str, values: Iterable[float]) -> list:
-    """Validate that *values* are strictly increasing."""
-    vals = list(values)
-    if not vals:
-        raise ValueError(f"{name} must be non-empty")
-    for a, b in zip(vals, vals[1:]):
-        if b <= a:
-            raise ValueError(f"{name} must be strictly increasing, got {vals!r}")
     return vals

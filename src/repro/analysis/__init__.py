@@ -3,7 +3,6 @@
 from .cdf import EmpiricalCDF
 from .export import (
     collector_summary,
-    detector_summary,
     meter_to_csv,
     records_to_csv,
     stats_to_json,
@@ -25,5 +24,4 @@ __all__ = [
     "meter_to_csv",
     "stats_to_json",
     "collector_summary",
-    "detector_summary",
 ]

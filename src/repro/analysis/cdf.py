@@ -64,10 +64,9 @@ class EmpiricalCDF:
         """50th percentile."""
         return self.quantile(0.5)
 
-    def spread(self, lo: float = 0.1, hi: float = 0.9) -> float:
-        """Inter-quantile spread — "sub-vertical" CDFs have tiny spread."""
-        require(0 <= lo < hi <= 1, "need 0 <= lo < hi <= 1")
-        return float(self.quantile(hi) - self.quantile(lo))
+    def spread(self) -> float:
+        """P10–P90 spread — "sub-vertical" CDFs have tiny spread."""
+        return float(self.quantile(0.9) - self.quantile(0.1))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,7 +28,6 @@ __all__ = [
     "meter_to_csv",
     "stats_to_json",
     "collector_summary",
-    "detector_summary",
     "topology_summary",
 ]
 
@@ -163,22 +162,6 @@ def topology_summary(
     )
 
 
-def detector_summary(scheme: object) -> Optional[dict]:
-    """JSON-ready audit record of an online detector's decisions.
-
-    Returns ``None`` for schemes without a ``report()`` API (the four
-    static Table-2 schemes), so callers can attach the summary
-    unconditionally.  For :class:`~repro.detect.OnlineDetectScheme` the
-    record carries the dynamic suspect-pool membership (sources and
-    servers), the per-source anomaly scores and the calibration state —
-    strictly JSON-representable: scores are finite floats by
-    construction and the whole record passes through
-    :func:`repro.obs.jsonable` (``allow_nan=False`` safe).
-    """
-    report = getattr(scheme, "report", None)
-    if report is None:
-        return None
-    return jsonable(report())
 
 
 def collector_summary(collector: MetricsCollector) -> dict:

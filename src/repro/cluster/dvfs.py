@@ -9,9 +9,9 @@ first-class immutable object and every scheme manipulates *levels*
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .._validation import check_int, check_sorted_unique, require
+from .._validation import check_int
 
 __all__ = ["FrequencyLadder"]
 
@@ -22,27 +22,20 @@ PAPER_FREQUENCIES_GHZ: Tuple[float, ...] = tuple(
 
 
 class FrequencyLadder:
-    """An ordered set of CPU operating frequencies.
+    """The paper's CPU operating frequencies, :data:`PAPER_FREQUENCIES_GHZ`.
 
     Level 0 is the *lowest* frequency; the last level is nominal/maximum.
     """
 
     __slots__ = ("_freqs",)
 
-    def __init__(self, frequencies_ghz: Sequence[float] = PAPER_FREQUENCIES_GHZ):
-        freqs = check_sorted_unique("frequencies_ghz", frequencies_ghz)
-        require(freqs[0] > 0, "frequencies must be positive")
-        self._freqs: Tuple[float, ...] = tuple(float(f) for f in freqs)
+    def __init__(self) -> None:
+        self._freqs: Tuple[float, ...] = PAPER_FREQUENCIES_GHZ
 
     @property
     def frequencies_ghz(self) -> Tuple[float, ...]:
         """All frequencies, ascending."""
         return self._freqs
-
-    @property
-    def num_levels(self) -> int:
-        """Number of P-states on the ladder."""
-        return len(self._freqs)
 
     @property
     def max_level(self) -> int:
@@ -53,11 +46,6 @@ class FrequencyLadder:
     def f_max(self) -> float:
         """Nominal frequency in GHz."""
         return self._freqs[-1]
-
-    @property
-    def f_min(self) -> float:
-        """Deepest throttle frequency in GHz."""
-        return self._freqs[0]
 
     def frequency(self, level: int) -> float:
         """Frequency in GHz at *level*."""

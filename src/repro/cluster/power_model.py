@@ -22,13 +22,17 @@ This separation is the mechanism behind the paper's key observations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .._validation import check_fraction, check_int, check_positive
 from ..workloads.catalog import RequestType
 from .dvfs import FrequencyLadder
 
 __all__ = ["ServerPowerModel", "TypeSlotRegistry", "PowerEvalTable"]
+
+#: Fraction of the idle floor that scales linearly with the frequency
+#: ratio (static leakage vs. clock-tree power).
+IDLE_FREQ_SLOPE = 0.25
 
 
 class ServerPowerModel:
@@ -41,10 +45,8 @@ class ServerPowerModel:
         power-intense type at nominal frequency.
     idle_fraction:
         Fraction of nameplate drawn by an idle server at nominal
-        frequency.
-    idle_freq_slope:
-        Fraction of the idle floor that scales linearly with the
-        frequency ratio (static leakage vs. clock-tree power).
+        frequency; ``IDLE_FREQ_SLOPE`` of that floor scales with the
+        frequency ratio.
     alpha:
         Exponent of the dynamic-power/frequency relationship (V roughly
         tracks f, so dynamic power ~ f·V² gives α between 2 and 3).
@@ -55,7 +57,6 @@ class ServerPowerModel:
     __slots__ = (
         "nameplate_w",
         "idle_fraction",
-        "idle_freq_slope",
         "alpha",
         "num_workers",
         "_idle_at_max",
@@ -67,18 +68,15 @@ class ServerPowerModel:
         self,
         nameplate_w: float = 100.0,
         idle_fraction: float = 0.38,
-        idle_freq_slope: float = 0.25,
         alpha: float = 2.4,
         num_workers: int = 8,
     ) -> None:
         check_positive("nameplate_w", nameplate_w)
         check_fraction("idle_fraction", idle_fraction, inclusive=False)
-        check_fraction("idle_freq_slope", idle_freq_slope)
         check_positive("alpha", alpha)
         check_int("num_workers", num_workers, minimum=1)
         self.nameplate_w = float(nameplate_w)
         self.idle_fraction = float(idle_fraction)
-        self.idle_freq_slope = float(idle_freq_slope)
         self.alpha = float(alpha)
         self.num_workers = num_workers
         self._idle_at_max = self.nameplate_w * self.idle_fraction
@@ -91,7 +89,7 @@ class ServerPowerModel:
     def idle_power(self, freq_ratio: float) -> float:
         """Idle floor (watts) at the given frequency ratio."""
         check_fraction("freq_ratio", freq_ratio)
-        s = self.idle_freq_slope
+        s = IDLE_FREQ_SLOPE
         return self._idle_at_max * ((1.0 - s) + s * freq_ratio)
 
     def worker_power(self, rtype: RequestType, freq_ratio: float) -> float:
@@ -135,14 +133,6 @@ class ServerPowerModel:
         and the cost the Token scheme charges per admission.
         """
         return self.worker_power(rtype, freq_ratio) * rtype.service_time(freq_ratio)
-
-    def max_power(self) -> float:
-        """Upper bound of the model (== nameplate for γ=s=1 types)."""
-        return self.nameplate_w
-
-    def min_active_power(self, freq_ratio: float) -> float:
-        """Idle floor — the deepest power any throttle can reach."""
-        return self.idle_power(freq_ratio)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -223,15 +213,10 @@ class PowerEvalTable:
         "_watts_by_level",
     )
 
-    def __init__(
-        self,
-        model: ServerPowerModel,
-        ladder: FrequencyLadder,
-        registry: Optional[TypeSlotRegistry] = None,
-    ) -> None:
+    def __init__(self, model: ServerPowerModel, ladder: FrequencyLadder) -> None:
         self.model = model
         self.ladder = ladder
-        self.registry = registry if registry is not None else TypeSlotRegistry()
+        self.registry = TypeSlotRegistry()
         self._factor_rows: Dict[int, List[float]] = {}
         self._speedup_rows: Dict[int, List[float]] = {}
         self._idle_by_level: List[float] = [

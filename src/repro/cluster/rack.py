@@ -122,10 +122,6 @@ class Rack:
         """Per-server frequency levels (rack order)."""
         return [s.level for s in self.servers]
 
-    def mean_freq_ghz(self) -> float:
-        """Average operating frequency across the rack."""
-        return float(np.mean([s.frequency_ghz for s in self.servers]))
-
     def total_in_system(self) -> int:
         """Requests queued or in service anywhere in the rack."""
         return sum(s.in_system for s in self.servers)

@@ -181,9 +181,8 @@ class Server:
         self._power_w = self._idle_w
         self._power_dirty = False
 
-        # Exact piecewise-constant integrals.
+        # Exact piecewise-constant energy integral.
         self._energy_j = 0.0
-        self._busy_worker_seconds = 0.0
         self._last_accrual = engine.now
 
         # Counters.
@@ -261,11 +260,6 @@ class Server:
         """Energy consumed since construction (exact integral)."""
         self._accrue()
         return self._energy_j
-
-    def busy_worker_seconds(self) -> float:
-        """Integral of busy workers over time (utilisation numerator)."""
-        self._accrue()
-        return self._busy_worker_seconds
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -510,7 +504,6 @@ class Server:
             self._last_accrual = now
             return
         self._energy_j += self.current_power() * dt
-        self._busy_worker_seconds += len(self._active) * dt
         self._last_accrual = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -70,9 +70,9 @@ class ServerThermalModel:
         self.t_inlet = float(t_inlet_c)
         self.temperature_c = self.t_inlet
         # Anchored lazily on the first advance() so that a model created
-        # when the engine clock is already past zero (start_time_s > 0,
-        # or a monitor attached mid-run) does not integrate a phantom
-        # warm-up interval [0, now) at the current power.
+        # when the engine clock is already past zero (a monitor attached
+        # mid-run) does not integrate a phantom warm-up interval
+        # [0, now) at the current power.
         self._last_t: Optional[float] = None
 
     def steady_state_c(self, power_w: float) -> float:

@@ -285,16 +285,6 @@ class PowerTopology:
         node = self.node(name)
         return range(node.start, node.stop)
 
-    def rack_index_of(self, server_id: int) -> int:
-        """The tree-rack index owning global server *server_id*."""
-        check_int("server_id", server_id, minimum=0)
-        require(
-            server_id < self.spec.total_servers,
-            f"server {server_id} outside topology of "
-            f"{self.spec.total_servers} servers",
-        )
-        return server_id // self.spec.servers_per_rack
-
     # ------------------------------------------------------------------
     # Power views
     # ------------------------------------------------------------------
@@ -335,11 +325,13 @@ class TopologyMonitor:
     """Fixed-interval sampler of per-node power against per-node budgets.
 
     The tree-mode sibling of :class:`~repro.power.meter.PowerMeter`:
-    where the meter records the DC-feed time series, this monitor records
-    one timeline per tree node and attributes every budget violation to
-    the *deepest* violating node — a violated rack blames the rack, not
-    the row above it, so exported metrics point at the PDU that would
-    physically trip.
+    every sample checks each tree node against its budget and attributes
+    the violation to the *deepest* violating node — a violated rack
+    blames the rack, not the row above it, so exported metrics point at
+    the PDU that would physically trip.  The monitor keeps each node's
+    peak; its tallies are the engine's
+    ``topology.violation_slots.<node>`` and
+    ``topology.deepest_violation_slots.<node>`` counters.
     """
 
     def __init__(
@@ -351,15 +343,7 @@ class TopologyMonitor:
         self.engine = engine
         self.rack = rack
         self.topology = topology
-        self.times_s: List[float] = []
-        self.powers_w: Dict[str, List[float]] = {
-            name: [] for name in topology.nodes
-        }
         self.peak_w: Dict[str, float] = {name: 0.0 for name in topology.nodes}
-        self.violation_slots: Dict[str, int] = dict.fromkeys(topology.nodes, 0)
-        self.deepest_violation_slots: Dict[str, int] = dict.fromkeys(
-            topology.nodes, 0
-        )
         self._started = False
 
     def start(self, interval_s: float) -> None:
@@ -377,42 +361,36 @@ class TopologyMonitor:
         """Snapshot every node now; returns the per-node powers."""
         counters = self.engine.obs.counters
         powers = self.topology.per_node_power(self.rack)
-        self.times_s.append(self.engine.now)
         violated: Dict[str, bool] = {}
         for name, power_w in powers.items():
             node = self.topology.nodes[name]
-            self.powers_w[name].append(power_w)
             if power_w > self.peak_w[name]:
                 self.peak_w[name] = power_w
             violated[name] = power_w > node.budget_w
             if violated[name]:
-                self.violation_slots[name] += 1
                 counters.inc(f"topology.violation_slots.{name}")
         for name, is_violated in violated.items():
             node = self.topology.nodes[name]
             if is_violated and not any(
                 violated[child] for child in node.children
             ):
-                self.deepest_violation_slots[name] += 1
                 counters.inc(f"topology.deepest_violation_slots.{name}")
         return powers
 
-    def timeline(self, name: str) -> Tuple[List[float], List[float]]:
-        """(times, powers) series of node *name*."""
-        self.topology.node(name)
-        return list(self.times_s), list(self.powers_w[name])
-
     def deepest_violator(self) -> Optional[str]:
         """The node most often the deepest violation site, or ``None``."""
+        counters = self.engine.obs.counters
         best: Optional[str] = None
         best_slots = 0
-        for name, slots in self.deepest_violation_slots.items():
+        for name in self.topology.nodes:
+            slots = counters.get(f"topology.deepest_violation_slots.{name}")
             if slots > best_slots:
                 best, best_slots = name, slots
         return best
 
     def report(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready per-node summary (budget, peak, violation slots)."""
+        counters = self.engine.obs.counters
         out: Dict[str, Dict[str, object]] = {}
         for name, node in self.topology.nodes.items():
             out[name] = {
@@ -421,7 +399,11 @@ class TopologyMonitor:
                 "servers": [node.start, node.stop],
                 "budget_w": node.budget_w,
                 "peak_w": self.peak_w[name],
-                "violation_slots": self.violation_slots[name],
-                "deepest_violation_slots": self.deepest_violation_slots[name],
+                "violation_slots": counters.get(
+                    f"topology.violation_slots.{name}"
+                ),
+                "deepest_violation_slots": counters.get(
+                    f"topology.deepest_violation_slots.{name}"
+                ),
             }
         return out

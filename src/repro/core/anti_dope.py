@@ -116,7 +116,7 @@ class SuspectPoolScheme(PowerManagementScheme):
         that is not healthy is left out and keeps its level.  With the
         battery transition on, the battery carries the deficit of a
         violating slot that changed a level, recharges from the
-        headroom of a compliant slot and idles otherwise.
+        headroom a compliant slot's plan leaves and idles otherwise.
         """
         self._require_bound()
         suspect = self.policy.suspect_pool.alive
@@ -124,10 +124,16 @@ class SuspectPoolScheme(PowerManagementScheme):
         power_w = self.current_power()
         deficit = self.budget.deficit(power_w)
         top = self.rack.ladder.max_level
+
+        def predict(suspect_level: int, innocent_level: int) -> float:
+            """Watts of the alive servers with each pool at its level."""
+            return servers_power_at_level(
+                suspect, suspect_level
+            ) + servers_power_at_level(innocent, innocent_level)
+
         plan = self.planner.plan(
             self.budget.supply_w,
-            lambda p, q: servers_power_at_level(suspect, p)
-            + servers_power_at_level(innocent, q),
+            predict,
             min((s.level for s in suspect), default=top),
             min((s.level for s in innocent), default=top),
         )
@@ -148,9 +154,13 @@ class SuspectPoolScheme(PowerManagementScheme):
             # which the new V/F settings take effect.
             self.battery.discharge(deficit, self.slot_s)
         elif deficit <= 0:
+            # Recharge from the headroom the applied plan leaves, not
+            # the pre-plan reading: a raise spends part of that headroom.
+            headroom_w = self.budget.headroom(
+                predict(plan.suspect_level, plan.innocent_level)
+            )
             self.battery.charge(
-                self.budget.headroom(power_w) * RECHARGE_HEADROOM_FRACTION,
-                self.slot_s,
+                max(0.0, headroom_w) * RECHARGE_HEADROOM_FRACTION, self.slot_s
             )
         else:
             self.battery.idle()

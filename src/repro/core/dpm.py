@@ -43,10 +43,6 @@ class ThrottlePlan:
     innocent_level: int
     feasible: bool
 
-    def degrades_innocent(self, max_level: int) -> bool:
-        """True when the plan had to touch the innocent pool."""
-        return self.innocent_level < max_level
-
 
 class DPMPlanner:
     """Search for the least-damage throttle configuration.

@@ -240,11 +240,6 @@ class StreamingFeatureExtractor:
         """Drop a source's window (e.g. a rotated-out agent identity)."""
         self._windows.pop(source_id, None)
 
-    @property
-    def max_entropy_bits(self) -> float:
-        """Upper bound of the entropy feature: log2 of the type universe."""
-        return math.log2(self._num_types) if self._num_types > 1 else 0.0
-
     def _window(self, source_id: int, now: float) -> _SourceWindow:
         window = self._windows.get(source_id)
         if window is None:

@@ -11,11 +11,10 @@ stands out.
 
 Design constraints, in order:
 
-* **Deterministic.**  The model draws no random numbers; the ``seed``
-  parameter is recorded for run fingerprints only.  Scoring a fixed
-  observation sequence is byte-identical on every platform and engine
-  execution mode (pure float arithmetic, fixed iteration order supplied
-  by the caller).
+* **Deterministic.**  The model draws no random numbers.  Scoring a
+  fixed observation sequence is byte-identical on every platform and
+  engine execution mode (pure float arithmetic, fixed iteration order
+  supplied by the caller).
 * **Warm-up.**  Until ``warmup_observations`` vectors have been folded
   in, the population moments are still forming and every verdict is
   "innocent" — the cold-start false-positive guard.
@@ -42,36 +41,32 @@ __all__ = ["OnlineAnomalyModel"]
 _MIN_STD_FRACTION = 0.05
 _MIN_STD_ABS = 1e-6
 
+#: Per-observation retention of the population moments (EW mean and EW
+#: mean-of-squares).  With ~one observation per source per control
+#: slot, 0.995 remembers a few hundred slots of population history.
+DECAY = 0.995
+
 
 class OnlineAnomalyModel:
     """Streaming population z-score with hysteresis verdicts.
 
     Parameters
     ----------
-    seed:
-        Recorded in :meth:`fingerprint`; the model itself is
-        deterministic and draws nothing from it.
     warmup_observations:
         Vectors to absorb before any source may be flagged.
     enter_threshold / exit_threshold:
         Hysteresis band on the anomaly score (mean absolute z across
         features).  ``enter > exit`` is required.
-    decay:
-        Per-observation retention of the population moments (EW mean and
-        EW mean-of-squares).  With ~one observation per source per
-        control slot, ``0.995`` remembers a few hundred slots of
-        population history.
+
+    The moments decay by :data:`DECAY` per observation.
     """
 
     def __init__(
         self,
-        seed: int = 0,
         warmup_observations: int = 100,
         enter_threshold: float = 1.5,
         exit_threshold: float = 1.0,
-        decay: float = 0.995,
     ) -> None:
-        check_int("seed", seed, minimum=0)
         check_int("warmup_observations", warmup_observations, minimum=1)
         check_positive("enter_threshold", enter_threshold)
         check_positive("exit_threshold", exit_threshold)
@@ -80,12 +75,9 @@ class OnlineAnomalyModel:
             f"enter_threshold ({enter_threshold}) must exceed "
             f"exit_threshold ({exit_threshold}) for hysteresis to hold",
         )
-        require(0.0 < decay < 1.0, f"decay must be in (0,1), got {decay}")
-        self.seed = seed
         self.warmup_observations = warmup_observations
         self.enter_threshold = float(enter_threshold)
         self.exit_threshold = float(exit_threshold)
-        self.decay = float(decay)
         self.observations = 0
         self._mean: Tuple[float, ...] = ()
         self._sq_mean: Tuple[float, ...] = ()
@@ -102,7 +94,7 @@ class OnlineAnomalyModel:
             self._mean = tuple(vec)
             self._sq_mean = tuple(v * v for v in vec)
         else:
-            d = self.decay
+            d = DECAY
             self._mean = tuple(
                 d * m + (1.0 - d) * v for m, v in zip(self._mean, vec)
             )
@@ -167,11 +159,10 @@ class OnlineAnomalyModel:
     def fingerprint(self) -> Dict[str, object]:
         """JSON-ready identity of this model configuration."""
         return {
-            "seed": self.seed,
             "warmup_observations": self.warmup_observations,
             "enter_threshold": self.enter_threshold,
             "exit_threshold": self.exit_threshold,
-            "decay": self.decay,
+            "decay": DECAY,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

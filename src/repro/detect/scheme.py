@@ -182,7 +182,6 @@ class OnlineDetectScheme(SuspectPoolScheme):
             ),
         )
         self.model = OnlineAnomalyModel(
-            seed=0,
             warmup_observations=self.warmup_observations,
             enter_threshold=self.enter_threshold,
             exit_threshold=self.exit_threshold,

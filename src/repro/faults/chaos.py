@@ -66,8 +66,15 @@ CHAOS_SCHEMES: Tuple[str, ...] = (
 #: Attack onset within every chaos cell.
 _ATTACK_START_S = 20.0
 
+#: Offered load of every chaos cell: the AliOS users and the DOPE flood.
+_NORMAL_RATE_RPS = 40.0
+_ATTACK_RATE_RPS = 220.0
+
 #: Staleness bound handed to the schemes' sensor fallback.
 _STALENESS_BOUND_S = 5.0
+
+#: Counter prefix of the fault injector's per-kind tallies.
+_INJECTED = "faults.injected."
 
 
 def _scenario_plan(
@@ -118,8 +125,6 @@ def chaos_cell(
     budget: str = "LOW",
     num_servers: int = 4,
     duration_s: float = 90.0,
-    attack_rate_rps: float = 220.0,
-    normal_rate_rps: float = 40.0,
     profile: str = "combined",
     topology: str = "flat",
 ) -> Dict[str, object]:
@@ -149,10 +154,10 @@ def chaos_cell(
         sim, plan, staleness_bound_s=_STALENESS_BOUND_S
     )
     injector.arm()
-    sim.add_normal_traffic(rate_rps=normal_rate_rps)
+    sim.add_normal_traffic(rate_rps=_NORMAL_RATE_RPS)
     sim.add_flood(
         mix=dope_mix(),
-        rate_rps=attack_rate_rps,
+        rate_rps=_ATTACK_RATE_RPS,
         num_agents=20,
         start_s=_ATTACK_START_S,
     )
@@ -173,6 +178,11 @@ def chaos_cell(
     # attack population, which the NORMAL-only split cannot see.
     attribution_all = sim.collector.drop_attribution()
     counters = sim.obs.counters
+    injected = {
+        name[len(_INJECTED) :]: value
+        for name, value in counters.as_dict().items()
+        if name.startswith(_INJECTED)
+    }
     cell: Dict[str, object] = (
         {}
         if sim.topology_monitor is None
@@ -191,7 +201,7 @@ def chaos_cell(
             "profile": profile,
             "topology": topology,
             "fault_plan_signature": plan.signature(),
-            "faults_injected": dict(sorted(injector.injected.items())),
+            "faults_injected": injected,
             "offered": avail.offered,
             "served_within_sla": avail.served_within_sla,
             "served_late": avail.served_late,

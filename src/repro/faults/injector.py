@@ -28,7 +28,7 @@ Degradation paths exercised when faults fire:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class FaultInjector:
                 np.random.SeedSequence([plan.seed, _NOISE_STREAM])
             ),
         )
-        self.injected: Dict[str, int] = {}
         self._armed = False
 
     # ------------------------------------------------------------------
@@ -146,7 +145,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _apply(self, event: FaultEvent) -> None:
         kind = event.kind
-        self.injected[kind.value] = self.injected.get(kind.value, 0) + 1
         self.sim.obs.counters.inc(f"faults.injected.{kind.value}")
         handler = {
             FaultKind.SERVER_CRASH: self._server_crash,
@@ -228,6 +226,5 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FaultInjector({len(self.plan)} events, "
-            f"armed={self._armed}, injected={self.injected})"
+            f"FaultInjector({len(self.plan)} events, armed={self._armed})"
         )

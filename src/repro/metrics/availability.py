@@ -51,13 +51,6 @@ class AvailabilityReport:
         """Drops attributable to policy (firewall/token/queue), not faults."""
         return self.dropped - self.dropped_fault
 
-    @property
-    def goodput_fraction(self) -> float:
-        """Fraction served at all (late or not)."""
-        if not self.offered:
-            return 1.0
-        return (self.served_within_sla + self.served_late) / self.offered
-
     def __str__(self) -> str:
         fault = f" [{self.dropped_fault} fault]" if self.dropped_fault else ""
         return (

@@ -63,16 +63,6 @@ class EnergyReport:
         """
         return self.utility_energy_j + self.battery_debt_j
 
-    @property
-    def mean_load_power_w(self) -> float:
-        """Average rack power over the window."""
-        return self.load_energy_j / self.duration_s
-
-    @property
-    def mean_utility_power_w(self) -> float:
-        """Average grid power over the window."""
-        return self.utility_energy_j / self.duration_s
-
     def __str__(self) -> str:
         return (
             f"load={self.load_energy_j / 3600:.1f}Wh "

@@ -89,12 +89,6 @@ class RateLimitFirewall:
             self.poll_interval_s, self.poll, priority=PRIORITY_MONITOR
         )
 
-    def detach(self) -> None:
-        """Stop polling (e.g. for an unprotected baseline mid-run)."""
-        if self._stop_poll is not None:
-            self._stop_poll()
-            self._stop_poll = None
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -131,12 +125,6 @@ class RateLimitFirewall:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    def is_banned(self, source_id: int, now: Optional[float] = None) -> bool:
-        """True when *source_id* is currently blocked."""
-        t = self._now() if now is None else now
-        until = self._banned_until.get(source_id)
-        return until is not None and t < until
-
     def ban_horizon(
         self, source_ids: Iterable[int], now: Optional[float] = None
     ) -> Optional[float]:

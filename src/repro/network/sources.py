@@ -96,13 +96,6 @@ class SourceRegistry:
         self._by_label[label] = pool
         return pool
 
-    def pool_of(self, source_id: int) -> SourcePool:
-        """Return the pool owning *source_id*."""
-        for pool in self._pools:
-            if pool.contains(source_id):
-                return pool
-        raise KeyError(f"source id {source_id} not allocated")
-
     def get(self, label: str) -> SourcePool:
         """Return the pool registered under *label*."""
         try:
@@ -116,8 +109,3 @@ class SourceRegistry:
     def pools(self) -> List[SourcePool]:
         """All allocated pools, in allocation order."""
         return list(self._pools)
-
-    @property
-    def total_sources(self) -> int:
-        """Total number of allocated source ids."""
-        return self._next_id

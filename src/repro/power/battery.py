@@ -14,6 +14,11 @@ from .._validation import check_fraction, check_non_negative, check_positive
 
 __all__ = ["Battery"]
 
+#: Power limits of a rack-sized battery, as multiples of the rack
+#: nameplate: a UPS that can carry the whole rack discharges at 1.0 C.
+DISCHARGE_C_RATE = 1.0
+CHARGE_C_RATE = 0.25
+
 
 class Battery:
     """Rack UPS energy store.
@@ -64,24 +69,19 @@ class Battery:
         cls,
         rack_nameplate_w: float,
         sustain_s: float = 120.0,
-        discharge_c_rate: float = 1.0,
-        charge_c_rate: float = 0.25,
         efficiency: float = 0.9,
     ) -> "Battery":
         """Size a battery as the paper does: *sustain_s* at full rack load.
 
-        ``discharge_c_rate`` / ``charge_c_rate`` scale the power limits
-        relative to the rack nameplate (a UPS that can carry the whole
-        rack discharges at 1.0 C here).
+        The power limits are ``DISCHARGE_C_RATE`` / ``CHARGE_C_RATE``
+        times the rack nameplate.
         """
         check_positive("rack_nameplate_w", rack_nameplate_w)
         check_positive("sustain_s", sustain_s)
-        check_positive("discharge_c_rate", discharge_c_rate)
-        check_positive("charge_c_rate", charge_c_rate)
         return cls(
             capacity_j=rack_nameplate_w * sustain_s,
-            max_discharge_w=rack_nameplate_w * discharge_c_rate,
-            max_charge_w=rack_nameplate_w * charge_c_rate,
+            max_discharge_w=rack_nameplate_w * DISCHARGE_C_RATE,
+            max_charge_w=rack_nameplate_w * CHARGE_C_RATE,
             efficiency=efficiency,
         )
 
@@ -102,11 +102,6 @@ class Battery:
     def full(self) -> bool:
         """True when at capacity."""
         return self.soc_j >= self.capacity_j - 1e-9
-
-    def available_power(self, dt: float) -> float:
-        """Largest constant power sustainable for the next *dt* seconds."""
-        check_positive("dt", dt)
-        return min(self.max_discharge_w, self.soc_j / dt)
 
     # ------------------------------------------------------------------
     # Degradation (driven by the fault injector)

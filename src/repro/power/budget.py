@@ -20,7 +20,7 @@ benches can iterate them declaratively.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable
+from typing import Dict
 
 from .._validation import check_positive
 
@@ -75,13 +75,6 @@ class PowerBudget:
         """Build the budget for *level* given the Normal-PB supply."""
         check_positive("normal_supply_w", normal_supply_w)
         return cls(normal_supply_w * level.fraction, level)
-
-    @classmethod
-    def all_levels(
-        cls, normal_supply_w: float, levels: Iterable[BudgetLevel] = BudgetLevel
-    ) -> Dict[BudgetLevel, "PowerBudget"]:
-        """Budgets for every scenario — the benches' sweep axis."""
-        return {lvl: cls.for_level(lvl, normal_supply_w) for lvl in levels}
 
     def headroom(self, power_w: float) -> float:
         """Watts of unused supply (negative ⇒ violation)."""

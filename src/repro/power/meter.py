@@ -79,12 +79,11 @@ class PowerMeter:
         self.samples: List[PowerSample] = []
         self._stop: Optional[Callable[[], None]] = None
 
-    def start(self, sample_now: bool = True) -> None:
-        """Begin sampling (optionally taking an immediate first sample)."""
+    def start(self) -> None:
+        """Begin sampling, taking the first sample immediately."""
         if self._stop is not None:
             raise RuntimeError("meter already started")
-        if sample_now:
-            self.sample()
+        self.sample()
         self._stop = self.engine.every(
             self.interval_s, self.sample, priority=PRIORITY_MONITOR
         )

@@ -55,6 +55,22 @@ TIER_WARN = "warn"
 TIER_SOFT = "soft-cap"
 TIER_HARD = "hard-cap"
 
+#: History percentile the forecast tracks (P99).
+QUANTILE = 0.99
+#: Tier thresholds on predicted/supply: below ``WARN_FRACTION`` the
+#: rack is healthy, from ``HARD_FRACTION`` on it is hard-capped.
+WARN_FRACTION = 0.92
+HARD_FRACTION = 1.05
+#: Clamp on the per-second prediction step, as a fraction of rack
+#: nameplate (up: chasing a flood; down: decaying after one).
+RAMP_UP_FRACTION = 0.05
+RAMP_DOWN_FRACTION = 0.02
+#: Watts of extra effective budget granted per watt of predicted
+#: headroom.
+OVERSUBSCRIPTION_GAIN = 1.0
+#: Admission-bucket depth in seconds of refill.
+BURST_S = 2.0
+
 
 class PowerHistoryPredictor:
     """Streaming per-rack power forecast in O(1) memory.
@@ -171,13 +187,13 @@ class PredictionScheme(PowerManagementScheme):
     dynamic headroom, and then acts on the predicted-vs-supply ratio
     through a graded tier ladder:
 
-    * ``healthy`` (ratio < *warn_fraction*): raise all servers one
+    * ``healthy`` (ratio < ``WARN_FRACTION``): raise all servers one
       ladder step toward nominal — the prediction says the budget is
       safe, so performance recovers;
     * ``warn`` (< 1): hold levels;
-    * ``soft-cap`` (< *hard_fraction*): step all servers down one
+    * ``soft-cap`` (< ``HARD_FRACTION``): step all servers down one
       level;
-    * ``hard-cap`` (≥ *hard_fraction*): fall back to measured-power
+    * ``hard-cap`` (≥ ``HARD_FRACTION``): fall back to measured-power
       uniform capping against the true supply.
 
     The ladder is keyed on the **prediction**, not the meter — that is
@@ -188,65 +204,24 @@ class PredictionScheme(PowerManagementScheme):
 
     Parameters
     ----------
-    quantile:
-        History percentile the forecast tracks (default P99).
     horizon_s:
         History horizon: the observed-max floor decays from nameplate
         to zero over roughly this many seconds, and the quantile step
         is sized so the estimate can traverse the nameplate range in
         the same window.
-    warn_fraction / hard_fraction:
-        Tier thresholds on predicted/supply.
-    ramp_up_fraction / ramp_down_fraction:
-        Clamp on the per-second prediction step, as a fraction of rack
-        nameplate (up: chasing a flood; down: decaying after one).
-    oversubscription_gain:
-        Watts of extra effective budget granted per watt of predicted
-        headroom (0 disables the oversubscription inflation entirely).
-    burst_s:
-        Admission-bucket depth in seconds of refill.
     hysteresis:
         Raise-guard band of the hard-cap fallback controller.
+
+    The forecast percentile, the tier thresholds, the ramp clamps, the
+    oversubscription gain and the bucket depth are module constants.
     """
 
     name = "prediction"
 
-    def __init__(
-        self,
-        quantile: float = 0.99,
-        horizon_s: float = 60.0,
-        warn_fraction: float = 0.92,
-        hard_fraction: float = 1.05,
-        ramp_up_fraction: float = 0.05,
-        ramp_down_fraction: float = 0.02,
-        oversubscription_gain: float = 1.0,
-        burst_s: float = 2.0,
-        hysteresis: float = 0.02,
-    ) -> None:
+    def __init__(self, horizon_s: float = 60.0, hysteresis: float = 0.02) -> None:
         super().__init__(hysteresis)
-        check_fraction("quantile", quantile, inclusive=False)
         check_positive("horizon_s", horizon_s)
-        check_fraction("warn_fraction", warn_fraction, inclusive=False)
-        check_positive("hard_fraction", hard_fraction)
-        require(
-            hard_fraction >= 1.0,
-            f"hard_fraction must be >= 1, got {hard_fraction}",
-        )
-        check_fraction("ramp_up_fraction", ramp_up_fraction, inclusive=False)
-        check_fraction("ramp_down_fraction", ramp_down_fraction, inclusive=False)
-        require(
-            oversubscription_gain >= 0.0,
-            f"oversubscription_gain must be >= 0, got {oversubscription_gain}",
-        )
-        check_positive("burst_s", burst_s)
-        self.quantile = float(quantile)
         self.horizon_s = float(horizon_s)
-        self.warn_fraction = float(warn_fraction)
-        self.hard_fraction = float(hard_fraction)
-        self.ramp_up_fraction = float(ramp_up_fraction)
-        self.ramp_down_fraction = float(ramp_down_fraction)
-        self.oversubscription_gain = float(oversubscription_gain)
-        self.burst_s = float(burst_s)
         self.predictor: Optional[PowerHistoryPredictor] = None
         self.filter: Optional[PredictedHeadroomFilter] = None
         self.last_tier: str = TIER_HARD
@@ -259,17 +234,15 @@ class PredictionScheme(PowerManagementScheme):
         super().bind(engine, rack, budget, battery, slot_s, topology)
         nameplate_w = rack.nameplate_w
         self.predictor = PowerHistoryPredictor(
-            quantile=self.quantile,
+            quantile=QUANTILE,
             # Start pessimistic at nameplate: until history accrues the
             # scheme behaves like conservative capping, then earns its
             # oversubscription as the forecast ramps down.
             initial_w=nameplate_w,
             step_w=nameplate_w * self.slot_s / self.horizon_s,
             floor_decay_w_per_s=nameplate_w / self.horizon_s,
-            max_step_up_w_per_s=nameplate_w * self.ramp_up_fraction
-            / self.slot_s,
-            max_step_down_w_per_s=nameplate_w * self.ramp_down_fraction
-            / self.slot_s,
+            max_step_up_w_per_s=nameplate_w * RAMP_UP_FRACTION / self.slot_s,
+            max_step_down_w_per_s=nameplate_w * RAMP_DOWN_FRACTION / self.slot_s,
         )
         model = rack.power_model
 
@@ -280,7 +253,7 @@ class PredictionScheme(PowerManagementScheme):
         idle_floor_w = rack.idle_floor()
         self.filter = PredictedHeadroomFilter(
             refill_rate_w=max(1e-6, budget.supply_w - idle_floor_w),
-            burst_s=self.burst_s,
+            burst_s=BURST_S,
             energy_cost_fn=cost,
         )
         self.filter._last_refill = engine.now
@@ -303,9 +276,7 @@ class PredictionScheme(PowerManagementScheme):
         headroom_w = max(
             0.0, self.budget.supply_w - self.predictor.prediction_w
         )
-        inflated_w = (
-            self.budget.supply_w + self.oversubscription_gain * headroom_w
-        )
+        inflated_w = self.budget.supply_w + OVERSUBSCRIPTION_GAIN * headroom_w
         return min(self.rack.nameplate_w, inflated_w)
 
     # ------------------------------------------------------------------
@@ -329,7 +300,7 @@ class PredictionScheme(PowerManagementScheme):
             # attack manufactures.
             counters.inc("predict.blind_violation_slots")
         ladder = self.rack.ladder
-        if ratio < self.warn_fraction:
+        if ratio < WARN_FRACTION:
             self.last_tier = TIER_HEALTHY
             counters.inc("predict.healthy_slots")
             current = min(s.level for s in self.rack.servers)
@@ -338,7 +309,7 @@ class PredictionScheme(PowerManagementScheme):
         elif ratio < 1.0:
             self.last_tier = TIER_WARN
             counters.inc("predict.warn_slots")
-        elif ratio < self.hard_fraction:
+        elif ratio < HARD_FRACTION:
             self.last_tier = TIER_SOFT
             counters.inc("predict.soft_cap_slots")
             current = min(s.level for s in self.rack.servers)
@@ -356,7 +327,7 @@ class PredictionScheme(PowerManagementScheme):
         self._require_bound()
         return {
             "scheme": self.name,
-            "quantile": self.quantile,
+            "quantile": QUANTILE,
             "horizon_s": self.horizon_s,
             "observations": self.predictor.observations,
             "prediction_w": self.predictor.prediction_w,

@@ -29,14 +29,12 @@ class ShavingScheme(PowerManagementScheme):
         for shaving purposes (emergency ride-through reserve).
     hysteresis:
         Raise-guard band for the DVFS fallback controller.
-    full_carry:
-        When True (default), a budget violation flips the rack UPS into
-        battery mode and the battery carries the *entire* rack load for
-        the slot — the behaviour behind the paper's "mini battery which
-        can sustain 2 minutes when supporting all the web application
-        nodes" and the steep exhaustion in Fig. 18.  When False, the
-        battery supplies only the deficit above the budget (partial
-        sourcing, as in virtualised power architectures).
+
+    A budget violation flips the rack UPS into battery mode and the
+    battery carries the *entire* rack load for the slot — the behaviour
+    behind the paper's "mini battery which can sustain 2 minutes when
+    supporting all the web application nodes" and the steep exhaustion
+    in Fig. 18.
     """
 
     name = "shaving"
@@ -46,7 +44,6 @@ class ShavingScheme(PowerManagementScheme):
         recharge_headroom_fraction: float = 0.5,
         soc_reserve: float = 0.05,
         hysteresis: float = 0.02,
-        full_carry: bool = True,
     ) -> None:
         super().__init__(hysteresis)
         if not 0.0 <= recharge_headroom_fraction <= 1.0:
@@ -58,7 +55,6 @@ class ShavingScheme(PowerManagementScheme):
             raise ValueError(f"soc_reserve must be in [0, 1), got {soc_reserve}")
         self.recharge_headroom_fraction = recharge_headroom_fraction
         self.soc_reserve = soc_reserve
-        self.full_carry = full_carry
 
     def bind(self, engine, rack, budget, battery, slot_s, topology=None) -> None:
         """Attach infrastructure; Shaving additionally requires a battery."""
@@ -76,12 +72,9 @@ class ShavingScheme(PowerManagementScheme):
             usable_soc = max(0.0, battery.soc_fraction - self.soc_reserve)
             usable_j = usable_soc * battery.capacity_j
             available_w = min(battery.max_discharge_w, usable_j / self.slot_s)
-            # In full-carry (UPS battery) mode the whole rack load moves
-            # onto the battery during the violation slot; in partial
-            # mode the battery supplies only the excess over the budget.
-            demand_w = power_w if self.full_carry else deficit
-            if available_w >= demand_w:
-                battery.discharge(demand_w, self.slot_s)
+            # The whole rack load moves onto the battery for the slot.
+            if available_w >= power_w:
+                battery.discharge(power_w, self.slot_s)
                 # Peak fully shaved: make sure servers run at nominal.
                 self.rack.set_all_levels(self.rack.ladder.max_level)
             else:

@@ -117,8 +117,6 @@ class EventEngine:
 
     Parameters
     ----------
-    start_time_s:
-        Initial simulation time.
     mode:
         Execution strategy, ``"scalar"`` (default) or ``"batched"`` —
         see the module docstring.  Same-seed runs produce byte-identical
@@ -130,19 +128,14 @@ class EventEngine:
         module docstring.
     """
 
-    def __init__(
-        self,
-        start_time_s: float = 0.0,
-        mode: str = "scalar",
-        fluid: bool = False,
-    ) -> None:
+    def __init__(self, mode: str = "scalar", fluid: bool = False) -> None:
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"mode must be one of {ENGINE_MODES}, got {mode!r}"
             )
         if fluid and mode != "batched":
             raise ValueError("fluid mode requires mode='batched'")
-        self.clock = SimulationClock(start_time_s)
+        self.clock = SimulationClock()
         self.obs = Recorder()
         self.mode = mode
         #: Fast-path flag components branch on (``mode == "batched"``).

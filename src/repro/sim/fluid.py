@@ -76,8 +76,6 @@ class BannedPoolDrain:
         "nlb",
         "collector",
         "_source_ids",
-        "_mix",
-        "_pvals",
     )
 
     def __init__(
@@ -94,10 +92,6 @@ class BannedPoolDrain:
         self._source_ids = tuple(
             range(source_pool.first_id, source_pool.first_id + source_pool.size)
         )
-        # Mix-weight array cache: one tuple→ndarray conversion per mix
-        # swap instead of one per absorbed segment.
-        self._mix = None
-        self._pvals: Optional[np.ndarray] = None
 
     def horizon(self, now: float) -> Optional[float]:
         """Time up to which every pool arrival is provably rejected.
@@ -122,10 +116,7 @@ class BannedPoolDrain:
         if len(types) == 1:
             per_type = [count]
         else:
-            if mix is not self._mix:
-                self._mix = mix
-                self._pvals = np.asarray(mix.weights)
-            per_type = generator.rng.multinomial(count, self._pvals)
+            per_type = generator.rng.multinomial(count, np.asarray(mix.weights))
         for rtype, n in zip(types, per_type):
             if n:
                 self.collector.sink_bulk(

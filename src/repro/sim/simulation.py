@@ -30,7 +30,6 @@ from ..cluster.rack import Rack
 from ..cluster.topology import PowerTopology, TopologyMonitor
 from ..metrics.availability import AvailabilityReport, availability
 from ..metrics.collector import MetricsCollector
-from ..metrics.energy import EnergyAccountant
 from ..metrics.latency import LatencyStats
 from ..network.fabric import FlowletEcmpFabric
 from ..network.firewall import NullFirewall, RateLimitFirewall
@@ -254,7 +253,11 @@ class DataCenterSimulation:
         think_s: float = 0.2,
         poisson: bool = False,
     ) -> TrafficGenerator:
-        """Attach a flood generator, optionally windowed to [start, end)."""
+        """Attach a flood generator at the absolute time *start_s*.
+
+        With *end_s* the flood stops at that absolute time too.  A
+        *start_s* before the current time raises ``ValueError``.
+        """
         gen = make_flood(
             self.engine,
             self.nlb.dispatch,
@@ -271,7 +274,7 @@ class DataCenterSimulation:
         if end_s is not None:
             gen.run_window(start_s, end_s)
         else:
-            gen.start(start_s)
+            gen.start(start_s - self.engine.now)
         self._attach_fluid_drain(gen)
         self.generators.append(gen)
         return gen
@@ -372,12 +375,6 @@ class DataCenterSimulation:
             timings_s=self.obs.timers.as_dict(),
         )
 
-    def topology_report(self) -> Optional[dict]:
-        """Per-node power/violation summary, or ``None`` in flat mode."""
-        if self.topology_monitor is None:
-            return None
-        return self.topology_monitor.report()
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
@@ -409,10 +406,6 @@ class DataCenterSimulation:
             traffic_class=traffic_class, start_s=start_s, end_s=end_s
         )
         return availability(records, sla_s=sla_s)
-
-    def start_energy_accounting(self) -> EnergyAccountant:
-        """Begin an energy-measurement window at the current time."""
-        return EnergyAccountant(self.rack, self.battery)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

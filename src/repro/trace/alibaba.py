@@ -49,6 +49,14 @@ MACHINE_USAGE_COLUMNS = (
     "disk_io_percent",
 )
 
+#: The synthetic trace's published characteristics: mean utilisation,
+#: diurnal amplitude and period, AR(1) coefficient and burst scale.
+MEAN_UTIL = 0.40
+DIURNAL_AMPLITUDE = 0.15
+DAY_PERIOD_S = 86400.0
+AR1_COEFF = 0.9
+BURST_SCALE = 0.25
+
 
 @dataclass(frozen=True)
 class TraceSummary:
@@ -164,15 +172,6 @@ class ClusterTrace:
 
         return rate
 
-    def slice_time(self, start_s: float, end_s: float) -> "ClusterTrace":
-        """Sub-trace covering ``[start_s, end_s)``."""
-        require(0 <= start_s < end_s, "need 0 <= start_s < end_s")
-        i0 = int(start_s / self.interval_s)
-        i1 = int(math.ceil(end_s / self.interval_s))
-        i1 = min(i1, self.num_intervals)
-        require(i0 < i1, "empty time slice")
-        return ClusterTrace(self.utilization[:, i0:i1], self.interval_s)
-
 
 class SyntheticAlibabaTrace:
     """Generator of Alibaba-2018-like container utilisation traces.
@@ -183,34 +182,17 @@ class SyntheticAlibabaTrace:
 
     ``u_m(k) = clip(base + diurnal(k) + ar1_m(k) + burst_m(k), 0, 1)``
 
-    Parameters are the published trace characteristics; override them to
-    stress different regimes.
+    The shape follows the published trace characteristics (the module
+    constants).  *ar1_sigma*, the residual's standard deviation, and
+    *burst_prob*, each machine's per-interval burst probability, set
+    the noise; lower them for a quieter trace.
     """
 
-    def __init__(
-        self,
-        mean_util: float = 0.40,
-        diurnal_amplitude: float = 0.15,
-        ar1_coeff: float = 0.9,
-        ar1_sigma: float = 0.05,
-        burst_prob: float = 0.002,
-        burst_scale: float = 0.25,
-        day_period_s: float = 86400.0,
-    ) -> None:
-        check_fraction("mean_util", mean_util, inclusive=False)
-        check_fraction("diurnal_amplitude", diurnal_amplitude)
-        check_fraction("ar1_coeff", ar1_coeff)
+    def __init__(self, ar1_sigma: float = 0.05, burst_prob: float = 0.002) -> None:
         check_positive("ar1_sigma", ar1_sigma)
         check_fraction("burst_prob", burst_prob)
-        check_fraction("burst_scale", burst_scale)
-        check_positive("day_period_s", day_period_s)
-        self.mean_util = mean_util
-        self.diurnal_amplitude = diurnal_amplitude
-        self.ar1_coeff = ar1_coeff
         self.ar1_sigma = ar1_sigma
         self.burst_prob = burst_prob
-        self.burst_scale = burst_scale
-        self.day_period_s = day_period_s
 
     def generate(
         self,
@@ -235,15 +217,15 @@ class SyntheticAlibabaTrace:
 
         t = np.arange(n) * interval_s
         # Start the 12 h window on the rising edge of the diurnal cycle.
-        phase = 2 * np.pi * (t / self.day_period_s) - np.pi / 2
-        diurnal = self.diurnal_amplitude * np.sin(phase)
+        phase = 2 * np.pi * (t / DAY_PERIOD_S) - np.pi / 2
+        diurnal = DIURNAL_AMPLITUDE * np.sin(phase)
 
         # AR(1) residual per machine, vectorised across machines via a
         # scan over time (n is small: 1440 for 12 h @ 30 s).
         noise = rng.normal(0.0, self.ar1_sigma, size=(num_machines, n))
         resid = np.empty_like(noise)
         resid[:, 0] = noise[:, 0]
-        a = self.ar1_coeff
+        a = AR1_COEFF
         for k in range(1, n):
             resid[:, k] = a * resid[:, k - 1] + noise[:, k]
         # Stationary variance correction so residual spread is sigma.
@@ -252,12 +234,12 @@ class SyntheticAlibabaTrace:
         bursts = np.zeros((num_machines, n))
         mask = rng.random((num_machines, n)) < self.burst_prob
         if mask.any():
-            bursts[mask] = self.burst_scale * (
+            bursts[mask] = BURST_SCALE * (
                 1.0 + rng.pareto(2.5, size=int(mask.sum()))
             )
-            bursts = np.minimum(bursts, 3 * self.burst_scale)
+            bursts = np.minimum(bursts, 3 * BURST_SCALE)
 
-        util = np.clip(self.mean_util + diurnal[None, :] + resid + bursts, 0.0, 1.0)
+        util = np.clip(MEAN_UTIL + diurnal[None, :] + resid + bursts, 0.0, 1.0)
         return ClusterTrace(util, interval_s)
 
 
@@ -308,9 +290,7 @@ def load_machine_usage(
     return ClusterTrace(util, interval_s)
 
 
-def write_machine_usage(
-    trace: ClusterTrace, path: str, machine_prefix: str = "m_"
-) -> None:
+def write_machine_usage(trace: ClusterTrace, path: str) -> None:
     """Serialise a trace in the real ``machine_usage.csv`` schema.
 
     Round-trips through :func:`load_machine_usage`; useful for fixtures
@@ -324,7 +304,7 @@ def write_machine_usage(
                     [
                         # Zero-padded so lexicographic machine order in the
                         # loader matches numeric order.
-                        f"{machine_prefix}{i:06d}",
+                        f"m_{i:06d}",
                         f"{k * trace.interval_s:.0f}",
                         f"{trace.utilization[i, k] * 100:.2f}",
                         "",

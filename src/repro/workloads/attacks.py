@@ -47,6 +47,9 @@ __all__ = [
     "AttackScenario",
 ]
 
+#: Relative jitter of an open-loop flood's constant pacing.
+FLOOD_JITTER = 0.05
+
 
 def make_flood(
     engine: EventEngine,
@@ -60,7 +63,6 @@ def make_flood(
     closed_loop: bool = True,
     think_s: float = 0.2,
     poisson: bool = False,
-    jitter: float = 0.05,
 ) -> TrafficGenerator:
     """Build one flood generator.
 
@@ -83,9 +85,8 @@ def make_flood(
     think_s:
         Closed-loop client think time.
     poisson:
-        Open loop only: Poisson pacing instead of near-constant pacing.
-    jitter:
-        Open loop only: relative jitter of constant pacing.
+        Open loop only: Poisson pacing instead of near-constant pacing
+        (constant pacing carries ``FLOOD_JITTER`` relative jitter).
     """
     check_positive("rate_rps", rate_rps)
     check_int("num_agents", num_agents, minimum=1)
@@ -104,7 +105,7 @@ def make_flood(
     process: ArrivalProcess = (
         PoissonProcess(rate_rps)
         if poisson
-        else ConstantRateProcess(rate_rps, jitter=jitter)
+        else ConstantRateProcess(rate_rps, jitter=FLOOD_JITTER)
     )
     return TrafficGenerator(
         engine=engine,

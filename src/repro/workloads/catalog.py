@@ -296,15 +296,6 @@ class RequestMix:
             sum(w * t.base_service_s for t, w in zip(self.types, self.weights))
         )
 
-    def expected_power_factor(self, freq_ratio: float = 1.0) -> float:
-        """Mean per-worker dynamic power factor under this mix."""
-        return float(
-            sum(
-                w * t.dynamic_power_factor(freq_ratio)
-                for t, w in zip(self.types, self.weights)
-            )
-        )
-
 
 def alios_mix() -> RequestMix:
     """The AliOS normal-user mix imitating Alibaba online EC access.

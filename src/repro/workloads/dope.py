@@ -36,7 +36,14 @@ from ..network.firewall import RateLimitFirewall
 from ..network.sources import SourceRegistry
 from ..sim.engine import EventEngine
 from ..sim.events import PRIORITY_CONTROL
-from .catalog import RequestMix, TrafficClass, dope_mix, uniform_mix
+from .catalog import (
+    ALL_TYPES,
+    TEXT_CONT,
+    RequestMix,
+    TrafficClass,
+    dope_mix,
+    uniform_mix,
+)
 from .generator import ClosedLoopGenerator, Dispatch, clients_for_rate
 
 __all__ = [
@@ -62,6 +69,10 @@ class AttackerState(enum.Enum):
 
 #: Attacker behaviour modes (``DopeAttacker(mode=...)``).
 ATTACK_MODES: tuple = ("classic", "predictor-poison")
+
+#: Ceiling on the evasion dilution: at least one request in
+#: ``1/(1 - MAX_DILUTION)`` stays on the attack mix.
+MAX_DILUTION = 0.8
 
 
 @dataclass
@@ -150,19 +161,17 @@ class DopeAttacker:
         applied while quarantined.  Diluting toward the benign mix
         lowers the attacker's entropy/power anomaly at the cost of
         attack potency (a diluted request stream burns less power per
-        request).  ``0.0`` (default) disables evasion.
-    max_dilution:
-        Ceiling on the dilution fraction; at least one request in
-        ``1/(1-max_dilution)`` stays on the attack mix.
-    dilution_mix:
-        Benign-looking mix to dilute toward; defaults to the uniform
-        all-types catalog mix (what a normal user population requests).
+        request).  ``0.0`` (default) disables evasion.  The benign mix
+        is the uniform all-types catalog mix (what a normal user
+        population requests), and the dilution stops at
+        :data:`MAX_DILUTION`.
     mode:
         ``"classic"`` (default) runs the Fig. 12 probe-and-adjust loop
         unchanged.  ``"predictor-poison"`` targets a history-driven
         victim (the ``prediction`` scheme): for ``poison_duration_s``
         after launch the attacker *shapes* — it presents only
-        ``shaping_rate_rps`` of the light ``shaping_mix``, depressing
+        ``shaping_rate_rps`` of the lightest EC endpoint (text
+        retrieval, so per-request power stays minimal), depressing
         the victim's power-history percentile and letting its decaying
         observed-max floor fade — and then fires a synchronized flood
         of the full attack mix at ``max_rate_rps`` into the inflated
@@ -174,9 +183,6 @@ class DopeAttacker:
     shaping_rate_rps:
         Aggregate rate presented while shaping (low — the point is a
         quiet history, not damage).
-    shaping_mix:
-        Request mix of the shaping phase; defaults to the lightest EC
-        endpoint (text retrieval) so per-request power stays minimal.
     """
 
     def __init__(
@@ -199,15 +205,10 @@ class DopeAttacker:
         label: str = "dope",
         quarantine_signal: Optional[Callable[[], bool]] = None,
         dilution_step: float = 0.0,
-        max_dilution: float = 0.8,
-        dilution_mix: Optional[RequestMix] = None,
         mode: str = "classic",
         poison_duration_s: float = 120.0,
         shaping_rate_rps: float = 20.0,
-        shaping_mix: Optional[RequestMix] = None,
     ) -> None:
-        from .catalog import ALL_TYPES, TEXT_CONT
-
         check_positive("initial_rate_rps", initial_rate_rps)
         check_positive("rate_step_rps", rate_step_rps)
         check_positive("max_rate_rps", max_rate_rps)
@@ -219,10 +220,6 @@ class DopeAttacker:
         if not 0.0 <= dilution_step <= 1.0:
             raise ValueError(
                 f"dilution_step must be in [0,1], got {dilution_step}"
-            )
-        if not 0.0 <= max_dilution < 1.0:
-            raise ValueError(
-                f"max_dilution must be in [0,1), got {max_dilution}"
             )
         require(
             mode in ATTACK_MODES,
@@ -250,18 +247,17 @@ class DopeAttacker:
 
         self.quarantine_signal = quarantine_signal or (lambda: False)
         self.dilution_step = float(dilution_step)
-        self.max_dilution = float(max_dilution)
         self.dilution = 0.0
 
         pool = registry.allocate(label, TrafficClass.ATTACK, num_agents)
         self.pool = pool
         mix = target_mix or dope_mix()
         self.target_mix = mix
-        self.dilution_mix = dilution_mix or uniform_mix(ALL_TYPES)
+        self.dilution_mix = uniform_mix(ALL_TYPES)
         self.mode = mode
         self.poison_duration_s = float(poison_duration_s)
         self.shaping_rate_rps = float(shaping_rate_rps)
-        self.shaping_mix = shaping_mix or uniform_mix((TEXT_CONT,))
+        self.shaping_mix = uniform_mix((TEXT_CONT,))
         #: Simulated time at which a poison-mode flood fires; ``None``
         #: in classic mode and after the flood has been released.
         self._flood_at_s: Optional[float] = None
@@ -404,9 +400,7 @@ class DopeAttacker:
             # the stream so the behavioural scores (entropy, per-request
             # power) drift back toward the population baseline.  The
             # cost is potency — diluted requests burn less power.
-            self.dilution = min(
-                self.max_dilution, self.dilution + self.dilution_step
-            )
+            self.dilution = min(MAX_DILUTION, self.dilution + self.dilution_step)
             self.generator.mix = self._blended_mix()
         if detected:
             self.state = AttackerState.BACKING_OFF

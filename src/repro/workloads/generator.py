@@ -24,7 +24,7 @@ from .._validation import check_non_negative, check_positive, require
 from ..network.request import Request
 from ..network.sources import SourcePool
 from ..sim.engine import EventEngine
-from ..trace.arrival import ArrivalProcess, ConstantRateProcess, PoissonProcess
+from ..trace.arrival import ArrivalProcess, PoissonProcess
 from .catalog import RequestMix, RequestType
 
 __all__ = [
@@ -121,10 +121,6 @@ class TrafficGenerator:
     def set_process(self, process: ArrivalProcess) -> None:
         """Swap the arrival process (effective from the next arrival)."""
         self.process = process
-
-    def set_rate(self, rate: float, jitter: float = 0.0) -> None:
-        """Convenience: switch to constant-rate pacing at *rate* req/s."""
-        self.set_process(ConstantRateProcess(rate, jitter))
 
     @property
     def current_rate(self) -> float:

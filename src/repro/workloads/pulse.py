@@ -19,7 +19,7 @@ wave.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .._validation import check_fraction, check_int, check_positive
 from ..network.sources import SourceRegistry
 from ..sim.engine import EventEngine
 from ..sim.events import PRIORITY_CONTROL
-from .catalog import RequestMix, TrafficClass, dope_mix
+from .catalog import TrafficClass, dope_mix
 from .generator import ClosedLoopGenerator, Dispatch, clients_for_rate
 
 __all__ = [
@@ -57,8 +57,10 @@ class PulseAttacker:
         Full cycle length.
     duty:
         Fraction of the period spent attacking.
-    num_agents, target_mix, think_s:
+    num_agents, think_s:
         As for the plain flood.
+
+    Every pulse requests the DOPE attack mix (``dope_mix()``).
     """
 
     def __init__(
@@ -71,7 +73,6 @@ class PulseAttacker:
         period_s: float = 60.0,
         duty: float = 0.5,
         num_agents: int = 20,
-        target_mix: Optional[RequestMix] = None,
         think_s: float = 0.2,
         label: str = "pulse-dope",
     ) -> None:
@@ -85,7 +86,7 @@ class PulseAttacker:
         self.rate_rps = float(rate_rps)
         self.stats = PulseStats()
         pool = registry.allocate(label, TrafficClass.ATTACK, num_agents)
-        mix = target_mix or dope_mix()
+        mix = dope_mix()
         self._clients = clients_for_rate(rate_rps, mix, think_s)
         self.generator = ClosedLoopGenerator(
             engine=engine,

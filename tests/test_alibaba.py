@@ -48,17 +48,6 @@ class TestClusterTrace:
         assert norm.max() == pytest.approx(1.0)
         assert np.all(norm >= 0)
 
-    def test_slice_time(self, small_trace):
-        sliced = small_trace.slice_time(600.0, 1800.0)
-        assert sliced.num_intervals == 20
-        np.testing.assert_array_equal(
-            sliced.utilization, small_trace.utilization[:, 10:30]
-        )
-
-    def test_slice_validation(self, small_trace):
-        with pytest.raises(ValueError):
-            small_trace.slice_time(100.0, 100.0)
-
 
 class TestRateFunction:
     def test_rate_bounds(self, small_trace):

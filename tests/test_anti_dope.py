@@ -74,6 +74,25 @@ class SharedBinding:
         assert delivered_j > 0.0
         assert absorbed_j > 0.0
 
+    def test_recharge_fits_the_headroom_the_plan_leaves(self, engine, rack):
+        """A compliant slot that raises levels recharges only from the
+        headroom left at the new levels, so the grid draw fits."""
+        battery = Battery.for_rack(400.0, sustain_s=120.0, efficiency=0.9)
+        battery.soc_j = 0.0
+        scheme, _ = self.bound(engine, rack, battery)
+        for server in rack.servers:
+            for i in range(8):
+                server.submit(Request(COLLA_FILT, i, TrafficClass.ATTACK, 0.0))
+        rack.set_all_levels(0)
+        assert rack.total_power() == pytest.approx(200.1, abs=0.05)
+        scheme.step()
+        assert rack.levels() == [9, 9, 9, 0]
+        assert rack.total_power() == pytest.approx(300.6, abs=0.05)
+        # One 1 s slot: the joules absorbed are the watts drawn.
+        grid_w = rack.total_power() + battery.absorbed_grid_j
+        assert grid_w <= 320.0
+        assert grid_w == pytest.approx(310.3, abs=0.05)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             self.make(suspect_pool_size=0)

@@ -17,7 +17,7 @@ class TestAvailability:
         report = availability([rec(RequestOutcome.COMPLETED)] * 10, sla_s=1.0)
         assert report.availability == 1.0
         assert report.drop_fraction == 0.0
-        assert report.goodput_fraction == 1.0
+        assert report.served_within_sla + report.served_late == report.offered
 
     def test_late_service_counts_against_availability(self):
         records = [rec(RequestOutcome.COMPLETED, rt=0.5)] * 5 + [
@@ -26,7 +26,7 @@ class TestAvailability:
         report = availability(records, sla_s=1.0)
         assert report.availability == pytest.approx(0.5)
         assert report.served_late == 5
-        assert report.goodput_fraction == 1.0
+        assert report.served_within_sla + report.served_late == report.offered
 
     def test_drops_count_against_availability(self):
         records = [rec(RequestOutcome.COMPLETED)] * 8 + [

@@ -91,17 +91,6 @@ class TestCharge:
         assert battery.discharge_cycles == 2
 
 
-class TestAvailablePower:
-    def test_rate_bound(self):
-        battery = make_battery(max_discharge_w=30.0)
-        assert battery.available_power(1.0) == pytest.approx(30.0)
-
-    def test_energy_bound(self):
-        battery = make_battery(capacity_j=10.0)
-        assert battery.available_power(1.0) == pytest.approx(10.0)
-        assert battery.available_power(2.0) == pytest.approx(5.0)
-
-
 class TestValidation:
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):

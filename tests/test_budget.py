@@ -17,11 +17,6 @@ class TestBudgetLevels:
         assert budget.supply_w == pytest.approx(320.0)
         assert budget.level is BudgetLevel.LOW
 
-    def test_all_levels(self):
-        budgets = PowerBudget.all_levels(400.0)
-        assert len(budgets) == 4
-        assert budgets[BudgetLevel.MEDIUM].supply_w == pytest.approx(340.0)
-
 
 class TestBudgetArithmetic:
     def test_headroom(self):

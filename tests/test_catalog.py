@@ -120,12 +120,6 @@ class TestRequestMix:
         expected = 0.5 * COLLA_FILT.base_service_s + 0.5 * TEXT_CONT.base_service_s
         assert mix.expected_base_service() == pytest.approx(expected)
 
-    def test_expected_power_factor(self):
-        mix = RequestMix({COLLA_FILT: 1.0})
-        assert mix.expected_power_factor(1.0) == pytest.approx(
-            COLLA_FILT.power_intensity
-        )
-
 
 class TestAliosMix:
     def test_dominated_by_light_traffic(self):

@@ -51,10 +51,6 @@ class TestSpread:
         wide = EmpiricalCDF([0.2, 0.4, 0.6, 0.8, 1.0])
         assert tight.spread() < 0.1 * wide.spread()
 
-    def test_spread_bounds_validated(self):
-        with pytest.raises(ValueError):
-            EmpiricalCDF([1.0]).spread(0.9, 0.1)
-
 
 class TestValidation:
     def test_empty_rejected(self):

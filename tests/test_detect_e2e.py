@@ -22,9 +22,10 @@ import json
 
 import pytest
 
-from repro import AntiDopeScheme, CappingScheme, OnlineDetectScheme
-from repro.analysis import DopeRegionAnalyzer, detector_summary
+from repro import AntiDopeScheme, OnlineDetectScheme
+from repro.analysis import DopeRegionAnalyzer
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs import jsonable
 from repro.power import BudgetLevel
 from repro.sim import DataCenterSimulation, SimulationConfig
 from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, VOLUME_DOS, uniform_mix
@@ -92,7 +93,7 @@ class TestQuarantine:
             scheme = OnlineDetectScheme()
             sim, _ = _flood_run(scheme, duration_s=30.0)
             sim.run(30.0)
-            return detector_summary(scheme)
+            return jsonable(scheme.report())
 
         first, second = run(), run()
         assert first == second
@@ -101,9 +102,6 @@ class TestQuarantine:
         assert "online-detect" in payload
         assert first["warmed_up"] is True
         assert first["suspect_sources"]
-
-    def test_detector_summary_none_for_static_schemes(self):
-        assert detector_summary(CappingScheme()) is None
 
 
 class TestRowPlacement:

@@ -19,9 +19,9 @@ from repro import (
     SimulationConfig,
 )
 from repro.analysis import DopeRegionAnalyzer
-from repro.analysis.export import detector_summary, meter_to_csv, records_to_csv
+from repro.analysis.export import meter_to_csv, records_to_csv
 from repro.faults import run_chaos, validate_chaos_payload
-from repro.obs import Recorder
+from repro.obs import Recorder, jsonable
 from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, uniform_mix
 
 ATTACK = uniform_mix((COLLA_FILT, K_MEANS))
@@ -141,7 +141,7 @@ def test_online_detect_scalar_batched_byte_identical():
         meter = io.StringIO()
         meter_to_csv(sim.meter, meter)
         report = json.dumps(
-            detector_summary(sim.scheme), sort_keys=True, allow_nan=False
+            jsonable(sim.scheme.report()), sort_keys=True, allow_nan=False
         )
         return (
             records.getvalue().encode()
@@ -198,7 +198,7 @@ def test_prediction_scalar_batched_byte_identical():
         meter = io.StringIO()
         meter_to_csv(sim.meter, meter)
         report = json.dumps(
-            detector_summary(sim.scheme), sort_keys=True, allow_nan=False
+            jsonable(sim.scheme.report()), sort_keys=True, allow_nan=False
         )
         return (
             records.getvalue().encode()

@@ -49,13 +49,12 @@ class TestPhase2InnocentFallback:
         assert plan.innocent_level < 12
         assert predict(plan.suspect_level, plan.innocent_level) <= 240.0
         assert plan.feasible
-        assert plan.degrades_innocent(12)
 
     def test_phase1_plans_do_not_degrade_innocent(self):
         planner = DPMPlanner(max_level=12)
         predict = linear_predictor(10.0, 20.0, base=40.0)
         plan = planner.plan(360.0, predict, 12, 12)
-        assert not plan.degrades_innocent(12)
+        assert plan.innocent_level == 12
 
 
 class TestPhase3Infeasible:

@@ -15,8 +15,6 @@ class TestEnergyReport:
             battery_recharge_grid_j=1000.0,
         )
         assert report.utility_energy_j == pytest.approx(9000.0)
-        assert report.mean_load_power_w == pytest.approx(100.0)
-        assert report.mean_utility_power_w == pytest.approx(90.0)
 
     def test_no_battery_case(self):
         report = EnergyReport(10.0, 500.0, 0.0, 0.0)

@@ -33,7 +33,7 @@ class TestDeadBattery:
         # No shaving possible: DVFS must be enforcing the budget.
         # Between-slot load fluctuation allows small transients; the
         # mean must comply and overshoots stay within a few watts.
-        assert sim.rack.mean_freq_ghz() < 2.4
+        assert min(sim.rack.levels()) < sim.rack.ladder.max_level
         powers = sim.meter.powers()[30:]
         assert powers.mean() < sim.budget.supply_w
         assert powers.max() < sim.budget.supply_w * 1.05
@@ -51,24 +51,6 @@ class TestDeadBattery:
 
 
 class TestFirewallOutage:
-    def test_firewall_detached_mid_run_stops_banning(self):
-        sim = DataCenterSimulation(
-            SimulationConfig(seed=2, firewall_threshold_rps=50.0),
-            scheme=CappingScheme(),
-        )
-        sim.add_normal_traffic(rate_rps=20)
-        # A blatant single-source flood the firewall would catch.
-        sim.add_flood(
-            mix=COLLA_FILT,
-            rate_rps=400,
-            num_agents=1,
-            start_s=30,
-            closed_loop=False,
-        )
-        sim.engine.schedule_at(25.0, sim.firewall.detach)
-        sim.run(90.0)
-        assert sim.firewall.stats.bans == 0  # defence was down
-
     def test_firewall_restores_after_ban_expiry_and_reoffends(self):
         sim = DataCenterSimulation(
             SimulationConfig(

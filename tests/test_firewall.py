@@ -27,7 +27,7 @@ class TestAdmission:
         for _ in range(20):
             fw.admit(source_id=1)
         engine.run(until=1.0)  # poll sees 20 > 10
-        assert fw.is_banned(1)
+        assert 1 in fw.banned_sources()
         assert not fw.admit(source_id=1)
         assert fw.stats.bans == 1
 
@@ -65,9 +65,9 @@ class TestBanLifecycle:
         for _ in range(50):
             fw.admit(1)
         engine.run(until=1.0)
-        assert fw.is_banned(1)
+        assert 1 in fw.banned_sources()
         engine.run(until=6.5)
-        assert not fw.is_banned(1)
+        assert 1 not in fw.banned_sources()
         assert fw.admit(1)
 
     def test_banned_sources_set(self, engine):
@@ -110,16 +110,6 @@ class TestAttachment:
         fw.attach(engine)
         with pytest.raises(RuntimeError):
             fw.attach(engine)
-
-    def test_detach_stops_polling(self, engine):
-        fw = make_firewall(poll=1.0)
-        fw.attach(engine)
-        fw.detach()
-        for _ in range(100):
-            fw.admit(1)
-        engine.run(until=5.0)
-        assert fw.stats.polls == 0
-        assert fw.stats.bans == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

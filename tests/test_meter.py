@@ -16,12 +16,6 @@ class TestSampling:
         assert len(meter) == 6  # t=0 (immediate) plus 1..5
         np.testing.assert_allclose(meter.times(), [0, 1, 2, 3, 4, 5])
 
-    def test_no_initial_sample_option(self, engine, rack):
-        meter = PowerMeter(engine, rack, interval_s=1.0)
-        meter.start(sample_now=False)
-        engine.run(until=3.0)
-        np.testing.assert_allclose(meter.times(), [1, 2, 3])
-
     def test_sample_captures_power_change(self, engine, rack):
         meter = PowerMeter(engine, rack, interval_s=1.0)
         meter.start()

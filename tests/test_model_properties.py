@@ -27,6 +27,7 @@ from repro import (
     SimulationConfig,
 )
 from repro.cluster import ServerPowerModel
+from repro.metrics import EnergyAccountant
 from repro.power import Battery
 from repro.workloads import ALL_TYPES, COLLA_FILT, K_MEANS, uniform_mix
 
@@ -192,7 +193,7 @@ class TestEnergyConservation:
         )
         battery = sim.battery
         soc_start_j = battery.soc_j
-        accountant = sim.start_energy_accounting()
+        accountant = EnergyAccountant(sim.rack, sim.battery)
         sim.run(40.0)
         report = accountant.report()
 

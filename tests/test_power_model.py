@@ -92,9 +92,6 @@ class TestTypeOrderings:
         assert reduction(K_MEANS) < reduction(COLLA_FILT)
         assert reduction(K_MEANS) < reduction(WORD_COUNT)
 
-    def test_throttling_cannot_reach_below_idle(self, power_model):
-        assert power_model.min_active_power(0.5) == power_model.idle_power(0.5)
-
 
 class TestEnergyPerRequest:
     def test_energy_positive_for_all_types(self, power_model):
@@ -135,9 +132,6 @@ class TestValidation:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ServerPowerModel(num_workers=0)
-
-    def test_max_power_equals_nameplate(self, power_model):
-        assert power_model.max_power() == 100.0
 
 
 class TestEvalTableLevels:

@@ -145,13 +145,7 @@ class TestPredictionScheme:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PredictionScheme(quantile=1.5)
-        with pytest.raises(ValueError):
             PredictionScheme(horizon_s=0.0)
-        with pytest.raises(ValueError):
-            PredictionScheme(hard_fraction=0.9)
-        with pytest.raises(ValueError):
-            PredictionScheme(oversubscription_gain=-1.0)
         with pytest.raises(ValueError):
             PredictionScheme(hysteresis=0.5)
 

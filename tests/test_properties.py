@@ -208,7 +208,7 @@ class TestDPMProperties:
         planner = DPMPlanner(max_level=12, hysteresis=0.0)
         predict = lambda p, q: 50.0 + suspect_w * p + innocent_w * q
         plan = planner.plan(cap, predict, 12, 12)
-        if plan.degrades_innocent(12):
+        if plan.innocent_level < 12:
             assert predict(0, 12) > cap
 
 

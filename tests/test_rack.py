@@ -50,7 +50,7 @@ class TestBulkDVFS:
 
     def test_mean_freq(self, rack):
         rack.set_all_levels(0)
-        assert rack.mean_freq_ghz() == pytest.approx(1.2)
+        assert [s.frequency_ghz for s in rack.servers] == pytest.approx([1.2] * 4)
 
 
 class TestDeterminism:

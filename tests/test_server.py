@@ -150,16 +150,6 @@ class TestPowerAccounting:
         expected = idle * 10.0 + busy_extra * rtype.base_service_s
         assert server.energy_joules() == pytest.approx(expected, rel=1e-6)
 
-    def test_busy_worker_seconds(self, engine, rng):
-        server = Server(0, engine, rng)
-        rtype = noiseless(TEXT_CONT)
-        server.submit(make_request(rtype))
-        server.submit(make_request(rtype, source=1))
-        engine.run()
-        assert server.busy_worker_seconds() == pytest.approx(
-            2 * rtype.base_service_s
-        )
-
 
 class TestValidation:
     def test_negative_server_id_rejected(self, engine, rng):

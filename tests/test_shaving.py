@@ -29,17 +29,11 @@ class TestBatteryFirst:
         assert battery.delivered_j > 0
 
     def test_full_carry_discharges_entire_load(self, engine, rack):
-        scheme, battery = bind(engine, rack, supply_w=320.0, full_carry=True)
+        scheme, battery = bind(engine, rack, supply_w=320.0)
         load_rack(rack)
         scheme.step()
         # One slot at ~400 W means the whole rack power left the battery.
         assert battery.delivered_j == pytest.approx(400.0, rel=0.01)
-
-    def test_partial_mode_discharges_deficit_only(self, engine, rack):
-        scheme, battery = bind(engine, rack, supply_w=320.0, full_carry=False)
-        load_rack(rack)
-        scheme.step()
-        assert battery.delivered_j == pytest.approx(80.0, rel=0.01)
 
     def test_paper_battery_exhausts_in_two_minutes_full_carry(self, engine, rack):
         # "a mini battery which can sustain 2 minutes when supporting

@@ -10,6 +10,7 @@ from repro import (
     SimulationConfig,
     TokenScheme,
 )
+from repro.metrics import EnergyAccountant
 from repro.network import NullFirewall, RateLimitFirewall
 from repro.trace import SyntheticAlibabaTrace
 from repro.workloads import COLLA_FILT, TrafficClass
@@ -86,6 +87,26 @@ class TestRunning:
         assert min(times) >= 5.0
         assert max(times) <= 8.5  # last in-flight completions
 
+    @pytest.mark.parametrize("end_s", [None, 100.0])
+    def test_flood_start_is_absolute_after_a_run(self, end_s):
+        sim = DataCenterSimulation()
+        sim.run(10.0)
+        sim.add_flood(
+            mix=COLLA_FILT, rate_rps=50.0, start_s=30.0, end_s=end_s,
+            closed_loop=False,
+        )
+        sim.run(40.0)
+        attack = sim.collector.filtered(traffic_class=TrafficClass.ATTACK)
+        first = min(r.arrival_time_s for r in attack)
+        assert 30.0 < first < 30.1
+
+    @pytest.mark.parametrize("end_s", [None, 100.0])
+    def test_flood_start_in_the_past_rejected(self, end_s):
+        sim = DataCenterSimulation()
+        sim.run(10.0)
+        with pytest.raises(ValueError):
+            sim.add_flood(mix=COLLA_FILT, rate_rps=50.0, start_s=5.0, end_s=end_s)
+
     def test_trace_driven_normal_traffic(self):
         trace = SyntheticAlibabaTrace().generate(8, 600, 30, seed=1)
         sim = DataCenterSimulation()
@@ -142,7 +163,7 @@ class TestResultAccessors:
     def test_energy_accounting_window(self):
         sim = DataCenterSimulation()
         sim.run(5.0)
-        accountant = sim.start_energy_accounting()
+        accountant = EnergyAccountant(sim.rack, sim.battery)
         sim.run(10.0)
         report = accountant.report()
         assert report.duration_s == pytest.approx(10.0)

@@ -32,20 +32,7 @@ class TestSourceRegistry:
         a = reg.allocate("users", TrafficClass.NORMAL, 100)
         b = reg.allocate("bots", TrafficClass.ATTACK, 50)
         assert set(a.ids).isdisjoint(set(b.ids))
-        assert reg.total_sources == 150
-
-    def test_pool_of_resolves_owner(self):
-        reg = SourceRegistry()
-        reg.allocate("users", TrafficClass.NORMAL, 10)
-        bots = reg.allocate("bots", TrafficClass.ATTACK, 10)
-        assert reg.pool_of(15) is bots
-        assert reg.pool_of(15).traffic_class is TrafficClass.ATTACK
-
-    def test_pool_of_unallocated_raises(self):
-        reg = SourceRegistry()
-        reg.allocate("users", TrafficClass.NORMAL, 10)
-        with pytest.raises(KeyError):
-            reg.pool_of(10)
+        assert sum(pool.size for pool in reg.pools) == 150
 
     def test_get_by_label(self):
         reg = SourceRegistry()

@@ -4,9 +4,10 @@ The first test is the gate: the whole ``src/repro`` tree must lint
 clean.  The rest pin down each rule against fixtures under
 ``tests/devtools_fixtures/`` — every line carrying a ``# VIOLATION``
 marker must produce exactly one finding for the rule under test, and
-the matching ``*_clean.py`` twin must produce none.  The last test
-keeps every tree CI's ``ruff check`` step covers free of unused
-imports, so that step's F401 findings surface in tier-1 too.
+the matching ``*_clean.py`` twin must produce none.  The last two
+tests keep every tree CI's ``ruff check`` step covers free of unused
+imports, so that step's F401 findings surface in tier-1 too, and fail
+on an option of ``src/repro`` that nothing passes.
 """
 
 import ast
@@ -357,3 +358,76 @@ def test_no_unused_imports():
         for finding in unused_imports(path)
     ]
     assert findings == [], "\n" + "\n".join(findings)
+
+
+# ---------------------------------------------------------------------------
+# Options nobody sets.
+# ---------------------------------------------------------------------------
+
+#: Trees whose calls count as setting an option.
+CALLER_PATHS = ("src", "tests", "benchmarks", "examples", "perfbench", "scripts")
+
+#: Defaulted parameters that callers pass positionally, or that belong to
+#: an entry point, as ``module:qualname(parameter)``.
+OPTION_ALLOWLIST = {
+    "repro.cli:main(argv)",
+    "repro.devtools.lint:main(argv)",
+    "repro.devtools.lint:run(parser)",
+    "repro.obs.counters:Counters.inc(amount)",
+    "repro.power.manager:highest_fitting_level(bottom)",
+}
+
+
+def public_functions(tree):
+    """``(qualname, def)`` for every public function, method and
+    ``__init__`` outside private classes."""
+    stack = [(tree, "")]
+    while stack:
+        scope, prefix = stack.pop()
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                stack.append((node, f"{prefix}{node.name}."))
+            elif isinstance(node, FUNCTIONS) and (
+                node.name == "__init__" or not node.name.startswith("_")
+            ):
+                yield prefix + node.name, node
+
+
+def defaulted_parameters(function) -> list:
+    """Names of *function*'s parameters that carry a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults) :]]
+    names += [
+        a.arg
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return names
+
+
+def test_every_option_is_passed_somewhere():
+    """Every defaulted parameter of a public function or method in
+    ``src/repro`` is passed by keyword somewhere in the repository.
+
+    The scan is name-based: a keyword of the same name passed to any
+    call counts, so it catches only options that nobody passes at all.
+    A parameter callers pass positionally, or an entry point's, goes on
+    ``OPTION_ALLOWLIST``.
+    """
+    passed = set()
+    for root in CALLER_PATHS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    passed |= {k.arg for k in node.keywords if k.arg}
+    unset = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        module, _ = infer_module_name(str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, function in public_functions(tree):
+            for name in defaulted_parameters(function):
+                option = f"{module}:{qualname}({name})"
+                if name not in passed and option not in OPTION_ALLOWLIST:
+                    unset.append(option)
+    assert unset == [], "\n" + "\n".join(unset)

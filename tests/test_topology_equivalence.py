@@ -196,7 +196,6 @@ def test_flat_runs_emit_no_topology_or_fabric_telemetry():
     assert sim.topology is None
     assert sim.topology_monitor is None
     assert sim.fabric is None
-    assert sim.topology_report() is None
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from repro._validation import (
     check_non_negative,
     check_positive,
     check_probability_vector,
-    check_sorted_unique,
     require,
 )
 
@@ -122,20 +121,3 @@ class TestProbabilityVector:
 
     def test_tolerates_float_rounding(self):
         check_probability_vector("p", [1 / 3, 1 / 3, 1 / 3])
-
-
-class TestSortedUnique:
-    def test_accepts_increasing(self):
-        assert check_sorted_unique("f", [1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            check_sorted_unique("f", [1.0, 1.0])
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            check_sorted_unique("f", [2.0, 1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            check_sorted_unique("f", [])
