@@ -12,7 +12,6 @@ from .events import (
     PRIORITY_CONTROL,
     PRIORITY_MONITOR,
     PRIORITY_WORKLOAD,
-    Event,
     EventQueue,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "SimulationClock",
     "SimulationConfig",
     "EventEngine",
-    "Event",
     "EventQueue",
     "PRIORITY_WORKLOAD",
     "PRIORITY_MONITOR",

@@ -47,16 +47,16 @@ the golden-equivalence contract and is never enabled by default.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
+from heapq import heappop, heappush
 from typing import Callable, Optional, Tuple
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_finite, check_non_negative, check_positive
 from ..obs import Recorder
 from .clock import SimulationClock
-from .events import NO_ARG, Event, EventQueue, PRIORITY_WORKLOAD
+from .events import NO_ARG, EventQueue, PRIORITY_WORKLOAD
 
 __all__ = [
     "EventEngine",
@@ -66,6 +66,8 @@ __all__ = [
     "engine_from_env",
     "resolve_engine_selection",
 ]
+
+_INF = float("inf")
 
 #: Valid execution modes.
 ENGINE_MODES = ("scalar", "batched")
@@ -143,6 +145,9 @@ class EventEngine:
         #: Hybrid fluid integration enabled (batched engines only).
         self.fluid = fluid
         self._queue = EventQueue()
+        # ``schedule`` builds and pushes heap entries itself.
+        self._heap = self._queue._heap
+        self._next_seq = self._queue._next_seq
         self._running = False
         self._stopped = False
         self._until: Optional[float] = None
@@ -170,16 +175,22 @@ class EventEngine:
         callback: Callable[..., None],
         priority: int = PRIORITY_WORKLOAD,
         arg: object = NO_ARG,
-    ) -> Event:
+    ) -> list:
         """Schedule *callback* to run *delay_s* seconds from now.
 
         When *arg* is given the callback is invoked as ``callback(arg)``
         — hot callers use this to avoid allocating a capturing lambda
-        per event.
+        per event.  Returns the event's heap entry
+        (:mod:`repro.sim.events`), the handle :meth:`cancel` takes.
         """
         if delay_s < 0.0:
             check_non_negative("delay_s", delay_s)  # raises with full context
-        return self._queue.push(self.clock._now + delay_s, callback, priority, arg)
+        time_s = self.clock._now + delay_s
+        if not (-_INF < time_s < _INF):  # NaN also fails
+            check_finite("time_s", time_s)
+        entry = [float(time_s), priority, self._next_seq(), callback, arg]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(
         self,
@@ -187,7 +198,7 @@ class EventEngine:
         callback: Callable[..., None],
         priority: int = PRIORITY_WORKLOAD,
         arg: object = NO_ARG,
-    ) -> Event:
+    ) -> list:
         """Schedule *callback* at the absolute simulation *time_s*."""
         if time_s < self.clock._now:
             raise ValueError(
@@ -230,12 +241,12 @@ class EventEngine:
             state["stopped"] = True
             event = state["event"]
             if event is not None:
-                self._queue.cancel(event)
+                self.cancel(event)
 
         return stop
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
+    def cancel(self, event: list) -> None:
+        """Cancel a scheduled event by its entry (a fired one is a no-op)."""
         self._queue.cancel(event)
 
     # ------------------------------------------------------------------
@@ -274,38 +285,41 @@ class EventEngine:
         self._until = until
         dispatched_before = self.dispatched
         sim_before_s = self.clock._now
-        heap = self._queue._heap
-        heappop = heapq.heappop
+        heap = self._heap
         clock = self.clock
+        limit = _INF if until is None else until
+        dispatched = 0
         try:
             with self.obs.timers.phase("engine.run"):
-                # The loop touches queue/clock internals directly: a
-                # peek is one tuple index and an advance one attribute
-                # store.  Entries popped here are monotonically ordered
-                # by construction, so the clock's backwards check is
-                # redundant on this path (and stays armed everywhere
-                # else).
+                # The loop touches heap entries and the clock directly:
+                # an advance is one attribute store.  Entries popped
+                # here are monotonically ordered by construction, so
+                # the clock's backwards check is redundant on this path
+                # (and stays armed everywhere else).  The first entry
+                # past the deadline goes back on the heap; the keys are
+                # unique, so the dispatch order does not change.
                 while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
+                    entry = heappop(heap)
+                    callback = entry[3]
+                    if callback is None:
                         continue
                     time_s = entry[0]
-                    if until is not None and time_s > until:
+                    if time_s > limit:
+                        heappush(heap, entry)
                         clock.advance_to(until)
                         break
-                    heappop(heap)
                     clock._now = time_s
-                    if event.arg is NO_ARG:
-                        event.callback()
+                    arg = entry[4]
+                    if arg is NO_ARG:
+                        callback()
                     else:
-                        event.callback(event.arg)
-                    self.dispatched += 1
+                        callback(arg)
+                    dispatched += 1
                 else:
                     if until is not None and clock._now < until and not self._stopped:
                         clock.advance_to(until)
         finally:
+            self.dispatched += dispatched
             self._running = False
             self._until = None
             counters = self.obs.counters
@@ -395,8 +409,9 @@ class EventEngine:
         """Number of live (non-cancelled) events in the queue.
 
         Counted from the heap on each call, so every way of cancelling
-        — :meth:`cancel`, :meth:`Event.cancel`, a recurrence stopping
-        itself inside its own tick — is reflected exactly.  O(queued
-        entries): meant for tests and diagnostics, not the hot path.
+        — :meth:`cancel`, a recurrence stopping itself inside its own
+        tick, a cancel of an event that already fired — is reflected
+        exactly.  O(queued entries): meant for tests and diagnostics,
+        not the hot path.
         """
         return len(self._queue)

@@ -165,7 +165,7 @@ class TestPending:
     def test_event_handle_cancel_is_counted(self, engine):
         engine.schedule(1.0, lambda: None)
         event = engine.schedule(2.0, lambda: None)
-        event.cancel()  # Server.set_level/fail and generator stop use this
+        engine.cancel(event)  # Server.set_level/fail and generator stop use this
         assert engine.pending() == 1
         engine.run()
         assert engine.pending() == 0

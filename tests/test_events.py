@@ -1,4 +1,7 @@
-"""Unit tests for the event queue primitives."""
+"""Unit tests for the event queue primitives.
+
+An event is its heap entry ``[time_s, priority, seq, callback, arg]``.
+"""
 
 import pytest
 
@@ -16,7 +19,7 @@ class TestEventQueueOrdering:
         q.push(3.0, noop)
         q.push(1.0, noop)
         q.push(2.0, noop)
-        times = [q.pop().time_s for _ in range(3)]
+        times = [q.pop()[0] for _ in range(3)]
         assert times == [1.0, 2.0, 3.0]
 
     def test_priority_breaks_time_ties(self):
@@ -24,7 +27,7 @@ class TestEventQueueOrdering:
         q.push(1.0, noop, priority=PRIORITY_CONTROL)
         q.push(1.0, noop, priority=PRIORITY_WORKLOAD)
         q.push(1.0, noop, priority=PRIORITY_MONITOR)
-        prios = [q.pop().priority for _ in range(3)]
+        prios = [q.pop()[1] for _ in range(3)]
         assert prios == [PRIORITY_WORKLOAD, PRIORITY_MONITOR, PRIORITY_CONTROL]
 
     def test_fifo_among_equal_time_and_priority(self):
@@ -32,8 +35,8 @@ class TestEventQueueOrdering:
         order = []
         q.push(1.0, lambda: order.append("a"))
         q.push(1.0, lambda: order.append("b"))
-        q.pop().callback()
-        q.pop().callback()
+        q.pop()[3]()
+        q.pop()[3]()
         assert order == ["a", "b"]
 
     def test_pop_empty_returns_none(self):
@@ -46,7 +49,7 @@ class TestEventQueueCancellation:
         e1 = q.push(1.0, noop)
         q.push(2.0, noop)
         q.cancel(e1)
-        assert q.pop().time_s == 2.0
+        assert q.pop()[0] == 2.0
 
     def test_cancel_updates_length(self):
         q = EventQueue()

@@ -232,7 +232,7 @@ class TestEventQueueProperties:
             e = q.pop()
             if e is None:
                 break
-            popped.append(e.time_s)
+            popped.append(e[0])
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
