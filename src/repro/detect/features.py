@@ -39,8 +39,7 @@ every engine execution mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
 
 from .._validation import check_positive
 from ..workloads.catalog import RequestType
@@ -57,18 +56,13 @@ GAIN_MIN = 0.5
 GAIN_MAX = 2.0
 
 
-@dataclass(frozen=True)
-class SourceFeatures:
-    """One source's feature vector at one instant."""
+class SourceFeatures(NamedTuple):
+    """One source's feature vector at one instant, in the scorer's order."""
 
     rate_rps: float
     burstiness: float
     entropy_bits: float
     power_w: float
-
-    def as_tuple(self) -> tuple:
-        """Fixed feature order consumed by the scorer."""
-        return (self.rate_rps, self.burstiness, self.entropy_bits, self.power_w)
 
 
 class _SourceWindow:
@@ -94,18 +88,6 @@ class _SourceWindow:
         self.gap_samples = 0.0
         self.type_counts: List[float] = [0.0] * num_types
         self.energy_j = 0.0
-
-    def decay_to(self, now: float, tau_s: float) -> None:
-        dt = now - self.last_touch_s
-        if dt <= 0.0:
-            return
-        factor = math.exp(-dt / tau_s)
-        self.count *= factor
-        self.energy_j *= factor
-        self.gap_samples *= factor
-        for slot in range(len(self.type_counts)):
-            self.type_counts[slot] *= factor
-        self.last_touch_s = now
 
 
 class StreamingFeatureExtractor:
@@ -161,7 +143,6 @@ class StreamingFeatureExtractor:
     ) -> None:
         """Fold one admitted arrival into the source's windows."""
         window = self._window(source_id, now)
-        window.decay_to(now, self.tau_s)
         if window.count > 0.0:
             gap = now - window.last_arrival_s
             a = self._gap_alpha
@@ -179,7 +160,6 @@ class StreamingFeatureExtractor:
     ) -> None:
         """Attribute one served request's energy back to its source."""
         window = self._window(source_id, now)
-        window.decay_to(now, self.tau_s)
         energy_j = self._energy_by_name.get(rtype.name)
         if energy_j is None:
             energy_j = float(self._energy_of(rtype))
@@ -212,39 +192,47 @@ class StreamingFeatureExtractor:
     def features(self, source_id: int, now: float) -> SourceFeatures:
         """The source's feature vector at *now* (windows decayed first)."""
         window = self._window(source_id, now)
-        window.decay_to(now, self.tau_s)
-        rate = window.count / self.tau_s
+        tau_s = self.tau_s
+        rate = window.count / tau_s
         burstiness = 0.0
         # Guard on the *squared* mean: a subnormal gap mean (~1e-200)
         # is positive while its square underflows to exactly 0.0.
         mean_sq = window.gap_mean_s * window.gap_mean_s
         if window.gap_samples > 0.0 and mean_sq > 0.0:
-            variance = max(0.0, window.gap_sq_mean_s2 - mean_sq)
-            burstiness = variance / mean_sq
-        total = sum(window.type_counts)
+            variance = window.gap_sq_mean_s2 - mean_sq
+            # == max(0.0, variance), NaN included.
+            burstiness = (variance if variance > 0.0 else 0.0) / mean_sq
+        counts = window.type_counts
+        total = sum(counts)
         entropy = 0.0
         if total > 0.0:
-            for count in window.type_counts:
+            log2 = math.log2
+            for count in counts:
                 if count > 0.0:
                     p = count / total
-                    entropy -= p * math.log2(p)
-        power_w = self._gain * window.energy_j / self.tau_s
-        return SourceFeatures(
-            rate_rps=rate,
-            burstiness=burstiness,
-            entropy_bits=entropy,
-            power_w=power_w,
-        )
-
-    def forget(self, source_id: int) -> None:
-        """Drop a source's window (e.g. a rotated-out agent identity)."""
-        self._windows.pop(source_id, None)
+                    entropy -= p * log2(p)
+        power_w = self._gain * window.energy_j / tau_s
+        return SourceFeatures(rate, burstiness, entropy, power_w)
 
     def _window(self, source_id: int, now: float) -> _SourceWindow:
+        """The source's window, created if new, decayed to *now*.
+
+        The only place a window decays: every read and every tap goes
+        through here.
+        """
         window = self._windows.get(source_id)
         if window is None:
             window = _SourceWindow(self._num_types, now)
             self._windows[source_id] = window
+        dt = now - window.last_touch_s
+        if dt <= 0.0:
+            return window
+        factor = math.exp(-dt / self.tau_s)
+        window.count *= factor
+        window.energy_j *= factor
+        window.gap_samples *= factor
+        window.type_counts = [count * factor for count in window.type_counts]
+        window.last_touch_s = now
         return window
 
     def __len__(self) -> int:

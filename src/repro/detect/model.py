@@ -45,6 +45,8 @@ _MIN_STD_ABS = 1e-6
 #: mean-of-squares).  With ~one observation per source per control
 #: slot, 0.995 remembers a few hundred slots of population history.
 DECAY = 0.995
+#: Weight of the new observation, ``1.0 - DECAY`` (the same float).
+_NEW_WEIGHT = 1.0 - DECAY
 
 
 class OnlineAnomalyModel:
@@ -87,19 +89,25 @@ class OnlineAnomalyModel:
     # ------------------------------------------------------------------
     # Population moments
     # ------------------------------------------------------------------
+    # The float operations of observe() and score() and their order are
+    # the contract: tests/test_detect_bitexact.py pins both bit for bit
+    # against a verbatim reference.  ``x if x > 0.0 else 0.0`` is
+    # ``max(0.0, x)`` and ``b if b > a else a`` is ``max(a, b)``, NaN
+    # included.
+
     def observe(self, features: SourceFeatures) -> None:
         """Fold one feature vector into the population moments."""
-        vec = features.as_tuple()
         if not self._mean:
-            self._mean = tuple(vec)
-            self._sq_mean = tuple(v * v for v in vec)
+            self._mean = tuple(features)
+            self._sq_mean = tuple([v * v for v in features])
         else:
             d = DECAY
+            w = _NEW_WEIGHT
             self._mean = tuple(
-                d * m + (1.0 - d) * v for m, v in zip(self._mean, vec)
+                [d * m + w * v for m, v in zip(self._mean, features)]
             )
             self._sq_mean = tuple(
-                d * s + (1.0 - d) * v * v for s, v in zip(self._sq_mean, vec)
+                [d * s + w * v * v for s, v in zip(self._sq_mean, features)]
             )
         self.observations += 1
 
@@ -107,15 +115,18 @@ class OnlineAnomalyModel:
         """Anomaly score: mean absolute z across the feature vector."""
         if not self._mean:
             return 0.0
-        vec = features.as_tuple()
+        sqrt = math.sqrt
         total = 0.0
-        for value, mean, sq_mean in zip(vec, self._mean, self._sq_mean):
-            variance = max(0.0, sq_mean - mean * mean)
-            std = math.sqrt(variance)
-            floor = max(_MIN_STD_ABS, _MIN_STD_FRACTION * abs(mean))
-            std = max(std, floor)
+        for value, mean, sq_mean in zip(features, self._mean, self._sq_mean):
+            variance = sq_mean - mean * mean
+            std = sqrt(variance) if variance > 0.0 else 0.0
+            floor = _MIN_STD_FRACTION * abs(mean)
+            if not floor > _MIN_STD_ABS:
+                floor = _MIN_STD_ABS
+            if floor > std:
+                std = floor
             total += abs(value - mean) / std
-        return total / len(vec)
+        return total / len(features)
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -146,15 +157,6 @@ class OnlineAnomalyModel:
             verdict = value >= self.enter_threshold
         self._suspects[source_id] = verdict
         return verdict
-
-    def is_suspect(self, source_id: int) -> bool:
-        """The source's current hysteresis state."""
-        return self._suspects.get(source_id, False)
-
-    def forget(self, source_id: int) -> None:
-        """Drop a source's verdict state and last score."""
-        self._suspects.pop(source_id, None)
-        self.last_scores.pop(source_id, None)
 
     def fingerprint(self) -> Dict[str, object]:
         """JSON-ready identity of this model configuration."""
