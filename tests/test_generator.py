@@ -107,7 +107,11 @@ class TestLifecycle:
     def test_set_rate_changes_pacing(self, engine, rng, registry):
         gen, received = make_generator(engine, rng, registry, rate=10.0)
         gen.start()
-        engine.schedule(5.0, lambda: gen.set_process(ConstantRateProcess(100.0)))
+
+        def speed_up():
+            gen.process = ConstantRateProcess(100.0)
+
+        engine.schedule(5.0, speed_up)
         engine.run(until=10.0)
         early = sum(1 for r in received if r.arrival_time_s < 5.0)
         late = sum(1 for r in received if r.arrival_time_s >= 5.0)

@@ -6,6 +6,7 @@ from repro.core import PDFPolicy, SuspectList, split_pools
 from repro.detect import DynamicSuspectPolicy, StreamingFeatureExtractor
 from repro.network import Request
 from repro.obs import Recorder
+from repro.sim import SimulationClock
 from repro.workloads import (
     ALL_TYPES,
     COLLA_FILT,
@@ -99,7 +100,7 @@ def dynamic_policy(rack, obs):
         StreamingFeatureExtractor(ALL_TYPES),
         rack.servers[:2],
         rack.servers[2:],
-        now=lambda: 0.0,
+        SimulationClock(),
         obs=obs,
     )
     policy.set_suspects(frozenset({7}))

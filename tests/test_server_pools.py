@@ -240,12 +240,11 @@ class World:
                 suspect = [servers[i] for i in ROW_SUSPECTS]
                 innocent = [s for s in servers if s not in suspect]
             make = ScanDetector if scan else DynamicSuspectPolicy
-            clock = engine.clock
             policy = make(
                 StreamingFeatureExtractor(ALL_TYPES),
                 innocent,
                 suspect,
-                now=lambda: clock._now,
+                engine.clock,
                 obs=obs,
             )
             policy.set_suspects(QUARANTINED)
