@@ -24,11 +24,19 @@ import pytest
 
 from repro import AntiDopeScheme, OnlineDetectScheme
 from repro.analysis import DopeRegionAnalyzer
+from repro.detect import make_scheme
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import jsonable
 from repro.power import BudgetLevel
 from repro.sim import DataCenterSimulation, SimulationConfig
-from repro.workloads import COLLA_FILT, K_MEANS, TEXT_CONT, VOLUME_DOS, uniform_mix
+from repro.workloads import (
+    COLLA_FILT,
+    K_MEANS,
+    TEXT_CONT,
+    VOLUME_DOS,
+    dope_mix,
+    uniform_mix,
+)
 
 
 def _flood_run(scheme, seed=1, duration_s=60.0, **config_kwargs):
@@ -165,6 +173,22 @@ class TestFaultDegradation:
 
         assert sim.obs.counters.get("detect.calibration_clamped") > 0
         assert scheme.report()["calibration_gain"] <= GAIN_MAX
+
+
+class TestCrashReroute:
+    def test_shed_requests_are_observed_once(self):
+        """A request shed by a crashed server re-enters the NLB
+        (``reroute``); its source's features must not count it twice."""
+        config = SimulationConfig(budget_level=BudgetLevel.LOW, seed=3)
+        sim = DataCenterSimulation(config, scheme=make_scheme("online-detect", config))
+        sim.add_normal_traffic(rate_rps=40.0)
+        sim.add_flood(mix=dope_mix(), rate_rps=220.0, num_agents=20, start_s=10.0)
+        plan = FaultPlan().server_crash(20.0, 0, 10.0).server_crash(40.0, 3, 10.0)
+        FaultInjector(sim, plan).arm()
+        sim.run(60.0)
+        counters = sim.obs.counters
+        assert counters.get("network.nlb_rerouted") > 0
+        assert counters.get("detect.arrivals_observed") == sim.firewall.stats.admitted
 
 
 class TestRegionShrinkage:
