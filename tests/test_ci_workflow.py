@@ -139,6 +139,11 @@ def test_equivalence_job_runs_suite_and_two_worker_cross_check(workflow):
     assert "tests/test_capping_controller.py" in runs
     # Table 2 as algebra: a degenerate scheme equals a simpler one.
     assert "tests/test_scheme_pairs.py" in runs
+    # The detector's arithmetic bit for bit against its verbatim
+    # reference, and the event core's dispatch order and cancellation
+    # against a sorted reference.
+    assert "tests/test_detect_bitexact.py" in runs
+    assert "tests/test_event_order.py" in runs
     # Cross-engine identity must exercise the process pool too.
     assert "REPRO_BENCH_ENGINE=scalar" in runs
     assert "REPRO_BENCH_ENGINE=batched" in runs
